@@ -6,7 +6,11 @@
 // the same regime as (and in practice beats: its seek is a skip-list
 // descent, not a list walk) the list structures — and (2) a wide
 // sharded composite's merge pages, where the lazy streaming merge pulls
-// ~one page worth of keys instead of the eager merge's 32 pages.
+// ~one page worth of keys instead of the eager merge's 32 pages. Run
+// with -benchmem: every cell reports 1 alloc/op — the benchmark's own
+// callback closure — because the collect buffer, the merge streams, the
+// heap and the callbacks the pulls deliver into all come from the call's
+// pooled page frame (internal/core/frame.go), EBR or not.
 package csds
 
 import (
@@ -14,7 +18,6 @@ import (
 	"testing"
 
 	"csds/internal/core"
-	"csds/internal/ebr"
 )
 
 // benchCursorPages measures single-threaded page latency over a
@@ -68,47 +71,6 @@ func BenchmarkCursorPage64k(b *testing.B) {
 	} {
 		b.Run("alg="+spec, func(b *testing.B) {
 			benchCursorPages(b, spec, 1<<16, 64)
-		})
-	}
-}
-
-// BenchmarkCursorPageEBR: the allocation cost of a merge page with and
-// without EBR + pooling attached. A composite page opens one PageStream
-// per shard and every leaf page needs a collect buffer; GC-only mode
-// allocates both per page, while pooling mode recycles them through the
-// page-buffer free-list (PageStream.Release and GuardedPage's put-back),
-// so the ebr=true cell's allocs/op is the proof that the buffers
-// round-trip instead of falling to the collector. Run with -benchmem to
-// see the pair.
-func BenchmarkCursorPageEBR(b *testing.B) {
-	for _, ebrOn := range []bool{false, true} {
-		b.Run(fmt.Sprintf("ebr=%v", ebrOn), func(b *testing.B) {
-			const size, pageLen = 1 << 14, 64
-			span := core.Key(2 * size)
-			s, err := Build("sharded(8,list/lazy)", Options{ExpectedSize: size, KeySpan: span})
-			if err != nil {
-				b.Fatal(err)
-			}
-			c := NewCtx(0)
-			if ebrOn {
-				dom := ebr.NewDomain()
-				c.Epoch = dom.Register()
-				defer c.Epoch.Unregister()
-			}
-			for k := core.Key(0); k < span; k += 2 {
-				s.Put(c, k, k)
-			}
-			cur := s.(core.Cursor)
-			pos := core.Key(0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				next, done := cur.CursorNext(c, pos, span, pageLen, func(core.Key, core.Value) bool { return true })
-				pos = next
-				if done {
-					pos = 0
-				}
-			}
 		})
 	}
 }

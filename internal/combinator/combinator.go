@@ -163,29 +163,3 @@ func clampParts(n int) int {
 	}
 	return n
 }
-
-// collectScan gathers one part's in-range mappings into buf through the
-// part's own linearizable scan (one atomic sub-snapshot per part). The
-// part must implement core.Scanner; every algorithm and combinator in
-// this module does, so a miss is a wiring bug worth the panic.
-func collectScan(c *core.Ctx, part core.Set, lo, hi core.Key, buf *[]core.ScanPair) {
-	part.(core.Scanner).Scan(c, lo, hi, func(k core.Key, v core.Value) bool {
-		*buf = append(*buf, core.ScanPair{K: k, V: v})
-		return true
-	})
-}
-
-// mergeScan implements the collect-and-merge scan of hash-partitioned
-// composites: collect every part's atomic sub-snapshot, sort the union by
-// key (partitions are disjoint, so there are no duplicates to resolve),
-// and replay in ascending order. Per-key consistency is inherited from
-// the per-part snapshots: every reported presence or absence was true at
-// some instant inside the Scan call.
-func mergeScan(c *core.Ctx, parts []core.Set, lo, hi core.Key, f func(k core.Key, v core.Value) bool) bool {
-	var buf []core.ScanPair
-	for _, p := range parts {
-		collectScan(c, p, lo, hi, &buf)
-	}
-	core.SortScanPairs(buf)
-	return core.ReplayScan(buf, f)
-}

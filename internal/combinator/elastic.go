@@ -69,9 +69,12 @@ type Elastic struct {
 	resizes  atomic.Uint64
 }
 
-// epartition is one immutable shard-map epoch.
+// epartition is one immutable shard-map epoch. sets lists the shards'
+// instances in shard order — the shape the core merge primitives take,
+// built once with the map instead of once per scan or page.
 type epartition struct {
 	shards []eshard
+	sets   []core.Set
 }
 
 // eshard is one shard of an epoch: the inner instance plus the freeze
@@ -114,9 +117,10 @@ func NewElastic(n int, inner func(core.Options) core.Set, o core.Options) (*Elas
 // original (undivided) option hints.
 func (e *Elastic) buildPartition(n int) *epartition {
 	so := splitOptions(e.opts, n)
-	p := &epartition{shards: make([]eshard, n)}
+	p := &epartition{shards: make([]eshard, n), sets: make([]core.Set, n)}
 	for i := range p.shards {
-		p.shards[i].set = e.inner(so)
+		p.sets[i] = e.inner(so)
+		p.shards[i].set = p.sets[i]
 	}
 	return p
 }
@@ -190,27 +194,33 @@ func (e *Elastic) Len() int {
 // Range implements core.Ranger over the current map's shards, in index
 // order — arbitrary key order overall (the partition is hashed).
 func (e *Elastic) Range(f func(k core.Key, v core.Value) bool) {
-	rangeParts(e.cur.Load().shardSets(), f)
+	rangeParts(e.cur.Load().sets, f)
 }
 
 // scanEpochRetries bounds how many superseded shard maps a scan abandons
 // before it pins the map by briefly excluding resizes.
 const scanEpochRetries = 4
 
+// current is the staleness witness scans and pages re-check after every
+// pull from shard i of p: a frozen shard under a superseded map means
+// the mappings just collected may predate post-swap updates (false). A
+// frozen shard under the *current* map is merely mid-migration: it is
+// immutable and still authoritative, because its writers are parked.
+func (e *Elastic) current(p *epartition, i int) bool {
+	return !p.shards[i].frozen.Load() || e.cur.Load() == p
+}
+
 // Scan implements core.Scanner with the same old-then-new epoch
 // discipline as Get, at scan granularity: collect every shard of the
-// loaded map through its own linearizable scan, and after each shard
-// re-check the staleness witness — a frozen shard under a superseded map
-// means the mappings just collected may predate post-swap updates, so
-// the whole collection is discarded and the scan restarts on the
-// published map (a frozen shard under the *current* map is merely
-// mid-migration: it is immutable and still authoritative, because its
-// writers are parked). A consistent pass sorts the disjoint union and
+// loaded map through its own linearizable scan (core.MergeScan) and
+// re-check the staleness witness after each shard — a stale collection
+// is discarded before anything is delivered and the scan restarts on
+// the published map. A consistent pass sorts the disjoint union and
 // replays in ascending key order, exactly like Sharded.
 //
 // Under pathological resize churn the optimistic pass could retry
 // forever, so after scanEpochRetries discarded epochs the scan takes
-// resizeMu — pausing resizes, never operations — and collects the then
+// resizeMu — pausing resizes, never operations — and scans the then
 // immovable current map. Correctness across a concurrent Resize needs no
 // such pause: every reported state was read, within the call window,
 // from the shard that owned the key at that instant.
@@ -220,59 +230,33 @@ func (e *Elastic) Scan(c *core.Ctx, lo, hi core.Key, f func(k core.Key, v core.V
 	}
 	c.EpochEnter()
 	defer c.EpochExit()
-	var buf []core.ScanPair
 	for attempt := 0; attempt < scanEpochRetries; attempt++ {
 		p := e.cur.Load()
-		buf = buf[:0]
-		stale := false
-		for i := range p.shards {
-			sh := &p.shards[i]
-			collectScan(c, sh.set, lo, hi, &buf)
-			if sh.frozen.Load() && e.cur.Load() != p {
-				stale = true
-				break
-			}
-		}
-		if !stale {
-			core.SortScanPairs(buf)
-			return core.ReplayScan(buf, f)
+		finished, aborted := core.MergeScan(c, p.sets, lo, hi, func(i int) bool { return e.current(p, i) }, f)
+		if !aborted {
+			return finished
 		}
 	}
-	// Pin the shard map: resizes wait (briefly, and only for the scan's
-	// collect — an administrative pause, like the migrator's own drain),
-	// readers and writers do not.
+	// Pin the shard map: resizes wait (briefly, and only for this one
+	// scan — an administrative pause, like the migrator's own drain),
+	// readers and writers do not. The pause now spans the replay too
+	// (collect and replay are one core call); f may not call back into
+	// the structure anyway, so all a slow f can delay is a resize.
 	e.resizeMu.Lock()
-	p := e.cur.Load()
-	buf = buf[:0]
-	for i := range p.shards {
-		collectScan(c, p.shards[i].set, lo, hi, &buf)
-	}
-	e.resizeMu.Unlock()
-	core.SortScanPairs(buf)
-	return core.ReplayScan(buf, f)
-}
-
-// shardSets snapshots an epoch's shard instances as a []core.Set (the
-// shape the core merge primitives take).
-func (p *epartition) shardSets() []core.Set {
-	sets := make([]core.Set, len(p.shards))
-	for i := range p.shards {
-		sets[i] = p.shards[i].set
-	}
-	return sets
+	defer e.resizeMu.Unlock()
+	finished, _ := core.MergeScan(c, e.cur.Load().sets, lo, hi, nil, f)
+	return finished
 }
 
 // CursorNext implements core.Cursor by lazy streaming merge under the
 // same old-then-new epoch discipline as Scan, at refill granularity:
 // the shards of the loaded map are pulled in small bounded chunks
-// (core.StreamMergePage — each pull one atomic sub-snapshot of its
+// (core.StreamMergeNext — each pull one atomic sub-snapshot of its
 // shard, the heap merge stopping exactly at the page budget instead of
 // collecting max keys from every shard), and the staleness witness is
-// re-checked after every pull — a frozen shard under a superseded map
-// means the page may predate post-swap updates, so the merged-so-far
-// page is discarded and retried on the published map. The merge buffers
-// its delivery precisely so an aborted page can be discarded; a
-// consistent page replays ascending.
+// re-checked after every pull. The merge delivers only after its last
+// pull, so a stale page is discarded whole and retried on the published
+// map; a consistent page replays ascending.
 //
 // The token is a bare key position, so it names no shard map at all:
 // a resize between two pages just means the next page streams from the
@@ -289,34 +273,18 @@ func (e *Elastic) CursorNext(c *core.Ctx, pos, hi core.Key, max int, f func(k co
 	defer c.EpochExit()
 	for attempt := 0; attempt < scanEpochRetries; attempt++ {
 		p := e.cur.Load()
-		buf, next, done, aborted := core.StreamMergePage(c, p.shardSets(), pos, hi, max, func(i int) bool {
-			return !(p.shards[i].frozen.Load() && e.cur.Load() != p)
-		})
-		if aborted {
-			continue
+		next, done, aborted := core.StreamMergeNext(c, p.sets, pos, hi, max, func(i int) bool { return e.current(p, i) }, f)
+		if !aborted {
+			c.RecordCursorRetries(attempt)
+			return next, done
 		}
-		c.RecordCursorRetries(attempt)
-		return replayMerged(buf, next, done, f)
 	}
 	// Pin the shard map: resizes wait briefly for this one bounded
-	// collect; readers and writers never do.
+	// page; readers and writers never do.
 	e.resizeMu.Lock()
-	p := e.cur.Load()
-	buf, next, done, _ := core.StreamMergePage(c, p.shardSets(), pos, hi, max, nil)
-	e.resizeMu.Unlock()
+	defer e.resizeMu.Unlock()
 	c.RecordCursorRetries(scanEpochRetries)
-	return replayMerged(buf, next, done, f)
-}
-
-// replayMerged drives a validated merged page through the user
-// callback, honoring early stop (resume one past the last delivered
-// key, like core.ReplayPage).
-func replayMerged(buf []core.ScanPair, next core.Key, done bool, f func(k core.Key, v core.Value) bool) (core.Key, bool) {
-	for _, pr := range buf {
-		if !f(pr.K, pr.V) {
-			return pr.K + 1, false
-		}
-	}
+	next, done, _ := core.StreamMergeNext(c, e.cur.Load().sets, pos, hi, max, nil, f)
 	return next, done
 }
 

@@ -71,17 +71,18 @@ func (s *Sharded) Range(f func(k core.Key, v core.Value) bool) {
 	rangeParts(s.shards, f)
 }
 
-// Scan implements core.Scanner by collect-and-merge: every shard
-// contributes one atomic sub-snapshot through its own linearizable scan,
-// and the union — disjoint by construction, so duplicate-free — replays
-// in ascending key order after a sort. Each key's reported state is its
-// true state at the instant its shard was scanned, inside the call
-// window (segment = shard).
+// Scan implements core.Scanner by collect-and-merge (core.MergeScan):
+// every shard contributes one atomic sub-snapshot through its own
+// linearizable scan, and the union — disjoint by construction, so
+// duplicate-free — replays in ascending key order after a sort. Each
+// key's reported state is its true state at the instant its shard was
+// scanned, inside the call window (segment = shard).
 func (s *Sharded) Scan(c *core.Ctx, lo, hi core.Key, f func(k core.Key, v core.Value) bool) bool {
 	if lo >= hi {
 		return true
 	}
-	return mergeScan(c, s.shards, lo, hi, f)
+	finished, _ := core.MergeScan(c, s.shards, lo, hi, nil, f)
+	return finished
 }
 
 // CursorNext implements core.Cursor by lazy k-way streaming merge over

@@ -42,9 +42,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"runtime"
-
-	"csds/internal/fault"
 )
 
 // Cursor is an optional Set extension: resumable, bounded-batch
@@ -269,63 +266,15 @@ func MergePage(buf []ScanPair, exhausted bool, hi Key, max int, f func(k Key, v 
 // retries record into the cursor counters (never the scan ones), and
 // the same brief per-instance writer barrier backstops churn.
 func GuardedPage(c *Ctx, g *ScanGuard, hi Key, max int, collect func(emit func(k Key, v Value) bool), f func(k Key, v Value) bool) (next Key, done bool) {
-	max = clampPageMax(max)
-	// In pooling mode the collect buffer (and its box) round-trips
-	// through the page-buffer free-list instead of growing fresh per
-	// page; GC-only mode keeps the per-page allocation, as the ablation
-	// contract requires.
-	var buf []ScanPair
-	var box *[]ScanPair
-	if c.Pooled() {
-		box, _ = pageBufPool.Get(c).(*[]ScanPair)
-		if box == nil {
-			box = new([]ScanPair)
-		}
-		buf = (*box)[:0]
-	}
-	putBack := func() {
-		if box != nil {
-			*box = buf[:0]
-			pageBufPool.Put(box)
-		}
-	}
-	full := false
-	visited := 0
-	emit := func(k Key, v Value) bool {
-		if len(buf) >= max {
-			full = true
-			return false
-		}
-		buf = append(buf, ScanPair{k, v})
-		visited++
-		return true
-	}
-	for attempt := 0; attempt < scanAttempts; attempt++ {
-		s, ok := g.snapshot()
-		if !ok {
-			runtime.Gosched()
-			continue
-		}
-		buf, full = buf[:0], false
-		collect(emit)
-		if g.validate(s) && !c.FaultFire(fault.GuardFail) {
-			c.RecordCursorRetries(attempt)
-			c.RecordPagePull(visited)
-			next, done = ReplayPage(buf, !full, hi, f)
-			putBack()
-			return next, done
-		}
-	}
-	// Optimistic phase lost to churn: briefly park this instance's
-	// writers and take one clean bounded pass (see GuardedScan).
-	g.freeze(c.Stat())
-	buf, full = buf[:0], false
-	collect(emit)
-	g.unfreeze()
-	c.RecordCursorRetries(scanAttempts)
-	c.RecordPagePull(visited)
-	next, done = ReplayPage(buf, !full, hi, f)
-	putBack()
+	fr := getFrame()
+	fr.max, fr.visited = clampPageMax(max), 0
+	c.RecordCursorRetries(guardedCollect(c, g, func() {
+		fr.buf, fr.full = fr.buf[:0], false
+		collect(fr.page)
+	}))
+	c.RecordPagePull(fr.visited)
+	next, done = ReplayPage(fr.buf, !fr.full, hi, f)
+	fr.release()
 	return next, done
 }
 

@@ -26,8 +26,9 @@
 package core
 
 import (
+	"cmp"
 	"runtime"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"csds/internal/fault"
@@ -168,15 +169,11 @@ type ScanPair struct {
 	V Value
 }
 
-// GuardedScan runs a structure's range collect under g's protocol:
-// optimistic validated attempts, then the write barrier. collect must
-// traverse the structure with atomic loads only, emit every in-range
-// mapping, and be restartable (it runs again after a failed validation);
-// the collected snapshot replays through f only once it is known
-// consistent. Returns false iff f stopped the replay early.
-func GuardedScan(c *Ctx, g *ScanGuard, collect func(emit func(k Key, v Value)), f func(k Key, v Value) bool) bool {
-	var buf []ScanPair
-	emit := func(k Key, v Value) { buf = append(buf, ScanPair{k, v}) }
+// guardedCollect drives pass — one restartable collect into the caller's
+// frame — under g's protocol: optimistic validated attempts, then the
+// write barrier. It returns the number of optimistic attempts spent
+// before the accepted pass (scanAttempts = fell back to the barrier).
+func guardedCollect(c *Ctx, g *ScanGuard, pass func()) int {
 	for attempt := 0; attempt < scanAttempts; attempt++ {
 		s, ok := g.snapshot()
 		if !ok {
@@ -185,23 +182,36 @@ func GuardedScan(c *Ctx, g *ScanGuard, collect func(emit func(k Key, v Value)), 
 			runtime.Gosched()
 			continue
 		}
-		buf = buf[:0]
-		collect(emit)
+		pass()
 		// A forced guard failure (chaos plane) discards an otherwise
 		// consistent snapshot, driving the retry and barrier paths.
 		if g.validate(s) && !c.FaultFire(fault.GuardFail) {
-			c.RecordScanRetries(attempt)
-			return ReplayScan(buf, f)
+			return attempt
 		}
 	}
 	// Optimistic phase lost to churn: briefly park this instance's
 	// writers and take one clean pass. Readers are unaffected.
 	g.freeze(c.Stat())
-	buf = buf[:0]
-	collect(emit)
+	pass()
 	g.unfreeze()
-	c.RecordScanRetries(scanAttempts)
-	return ReplayScan(buf, f)
+	return scanAttempts
+}
+
+// GuardedScan runs a structure's range collect under g's protocol:
+// optimistic validated attempts, then the write barrier. collect must
+// traverse the structure with atomic loads only, emit every in-range
+// mapping, and be restartable (it runs again after a failed validation);
+// the collected snapshot replays through f only once it is known
+// consistent. Returns false iff f stopped the replay early.
+func GuardedScan(c *Ctx, g *ScanGuard, collect func(emit func(k Key, v Value)), f func(k Key, v Value) bool) bool {
+	fr := getFrame()
+	c.RecordScanRetries(guardedCollect(c, g, func() {
+		fr.buf = fr.buf[:0]
+		collect(fr.scan)
+	}))
+	finished := ReplayScan(fr.buf, f)
+	fr.release()
+	return finished
 }
 
 // ReplayScan drives a collected snapshot through the user callback,
@@ -221,7 +231,7 @@ func ReplayScan(buf []ScanPair, f func(k Key, v Value) bool) bool {
 // shard and still deliver the ascending order every ordered scan in this
 // module promises.
 func SortScanPairs(buf []ScanPair) {
-	sort.Slice(buf, func(i, j int) bool { return buf[i].K < buf[j].K })
+	slices.SortFunc(buf, func(a, b ScanPair) int { return cmp.Compare(a.K, b.K) })
 }
 
 // RecordScanRetries forwards a scan's optimistic-validation retry count,

@@ -1,17 +1,20 @@
-// Streaming pull layer of the cursor machinery: PageStream (a bounded
-// per-source pull buffer over any Cursor) and the lazy k-way merges
-// built on it.
+// Streaming pull layer of the cursor machinery: pageStream (a bounded
+// per-source pull buffer over any Cursor) and the composite merges built
+// on it — the lazy k-way page merge, the ordered drain, and the one-shot
+// collect-and-sort scan.
 //
 // PR 4's composite cursors collected eagerly: every part contributed its
 // first max in-range keys per page and the sorted union was trimmed to
 // the budget, discarding up to (k-1)·max keys per page — the documented
 // k× overcollect of wide composites. The streaming architecture inverts
-// the dataflow: each part is wrapped in a PageStream that pulls small
-// refill chunks (~max/k keys, floored at streamMinChunk) on demand, and
-// a heap merge consumes stream heads lazily, stopping exactly at the
-// page budget. A sharded(32) page now materializes about one page worth
-// of keys instead of 32, and the refill counters (stats.Thread.PagePulls
-// / PagePullKeys) make the difference measurable.
+// the dataflow: each part gets a pull stream that fetches small refill
+// chunks (~max/k keys, floored at streamMinChunk) on demand, and a heap
+// merge consumes stream heads lazily, stopping exactly at the page
+// budget. A sharded(32) page now materializes about one page worth of
+// keys instead of 32, and the refill counters (stats.Thread.PagePulls /
+// PagePullKeys) make the difference measurable. Streams, heap and
+// buffers all live in the call's pooled page frame (frame.go), so a
+// merge allocates nothing in steady state.
 //
 // The consistency story is unchanged from the eager merge: every pull is
 // one linearizable bounded page on its part (one atomic sub-snapshot),
@@ -51,90 +54,24 @@ func streamChunk(max, parts int) int {
 	return chunk
 }
 
-// PageStream adapts one Cursor source into a bounded pull buffer: Refill
-// fetches the next ≤ chunk in-range mappings from the stream's private
-// position, Peek/Pop consume them in ascending order. The stream holds
-// no source state beyond that position — dropping it mid-page leaks
-// nothing, which is what keeps composite tokens position-only.
-type PageStream struct {
-	c       *Ctx
+// pageStream adapts one Cursor source into a bounded pull buffer: the
+// owning frame's refill fetches the next ≤ chunk in-range mappings from
+// the stream's private position, Peek/Pop consume them in ascending
+// order. The stream holds no source state beyond that position —
+// dropping it mid-page leaks nothing, which is what keeps composite
+// tokens position-only. Streams live by value in their frame
+// (frame.go), which also holds what they share: context, window end,
+// chunk size and the sink their pulls deliver into.
+type pageStream struct {
 	src     Cursor
 	pos     Key
-	hi      Key
-	chunk   int
 	buf     []ScanPair
-	box     *[]ScanPair // pool box the buffer travels in (pooling mode)
 	i       int
 	srcDone bool
 }
 
-// pageBufPool recycles PageStream refill buffers (as *[]ScanPair so the
-// interface boxing stays pointer-sized). Buffers are thread-owned for a
-// stream's whole life, so recycling needs no grace period — it is still
-// gated on pooling mode to keep the GC-only ablation honest.
-var pageBufPool Pool
-
-// NewPageStream opens a pull stream over src's window [pos, hi) with the
-// given refill chunk (clamped to at least 1). In pooling mode the refill
-// buffer comes from a free-list; Release hands it back.
-func NewPageStream(c *Ctx, src Cursor, pos, hi Key, chunk int) *PageStream {
-	if chunk < 1 {
-		chunk = 1
-	}
-	s := &PageStream{c: c, src: src, pos: pos, hi: hi, chunk: chunk}
-	if c.Pooled() {
-		s.box, _ = pageBufPool.Get(c).(*[]ScanPair)
-		if s.box == nil {
-			s.box = new([]ScanPair)
-		}
-		s.buf = (*s.box)[:0]
-	}
-	if pos >= hi {
-		s.srcDone = true
-	}
-	return s
-}
-
-// Release returns the stream's refill buffer to the pool (pooling mode
-// only; otherwise a no-op). The stream must not be used afterwards.
-func (s *PageStream) Release() {
-	if s.box == nil {
-		return
-	}
-	*s.box = s.buf[:0]
-	pageBufPool.Put(s.box)
-	s.box, s.buf, s.i = nil, nil, 0
-}
-
-// Refill pulls the next chunk from the source. It is a no-op while
-// buffered mappings remain or once the source is exhausted; it reports
-// whether the buffer holds data afterwards. Each refill is one
-// linearizable bounded page on the source.
-func (s *PageStream) Refill() bool {
-	if s.i < len(s.buf) {
-		return true
-	}
-	if s.srcDone {
-		return false
-	}
-	s.buf, s.i = s.buf[:0], 0
-	next, done := s.src.CursorNext(s.c, s.pos, s.hi, s.chunk, func(k Key, v Value) bool {
-		s.buf = append(s.buf, ScanPair{K: k, V: v})
-		return true
-	})
-	if len(s.buf) == 0 && !done {
-		// The cursor contract makes an empty, non-exhausted page
-		// impossible; treat one as exhaustion rather than spinning the
-		// merge on a source that will never progress.
-		done = true
-	}
-	s.pos = next
-	s.srcDone = done
-	return len(s.buf) > 0
-}
-
 // Peek returns the buffered head without consuming it.
-func (s *PageStream) Peek() (ScanPair, bool) {
+func (s *pageStream) Peek() (ScanPair, bool) {
 	if s.i < len(s.buf) {
 		return s.buf[s.i], true
 	}
@@ -142,7 +79,7 @@ func (s *PageStream) Peek() (ScanPair, bool) {
 }
 
 // Pop consumes and returns the buffered head.
-func (s *PageStream) Pop() (ScanPair, bool) {
+func (s *pageStream) Pop() (ScanPair, bool) {
 	if s.i < len(s.buf) {
 		p := s.buf[s.i]
 		s.i++
@@ -153,13 +90,13 @@ func (s *PageStream) Pop() (ScanPair, bool) {
 
 // Drained reports that the source is exhausted and the buffer is empty:
 // this stream will never produce another mapping.
-func (s *PageStream) Drained() bool { return s.srcDone && s.i >= len(s.buf) }
+func (s *pageStream) Drained() bool { return s.srcDone && s.i >= len(s.buf) }
 
 // streamHead is one heap slot of the k-way merge: the cached head key of
 // a stream plus which part it came from (for the per-pull hook).
 type streamHead struct {
 	key  Key
-	s    *PageStream
+	s    *pageStream
 	part int
 }
 
@@ -201,72 +138,67 @@ func (h mergeHeap) siftDown(i int) {
 // StreamMergeNext pages a disjoint partition in ascending key order with
 // lazy per-part pulls: each part streams refill chunks of ~max/len(parts)
 // keys (min streamMinChunk) through its own linearizable cursor, and a
-// heap merge delivers the union until the page budget fills or every
+// heap merge collects the union until the page budget fills or every
 // stream drains — the streaming replacement for the eager
 // collect-everything merge, cutting the per-page overcollect from
 // k×max to roughly one refill chunk per part.
 //
 // afterPull, when non-nil, runs after every pull from parts[i]; returning
-// false aborts the merge immediately (aborted == true, nothing more is
-// delivered) — the hook elastic composites use to detect a stale shard
-// map mid-page. Parts must partition the key space (no shared keys) and
-// every part must implement Cursor.
+// false aborts the merge (aborted == true) — the hook elastic composites
+// use to detect a stale shard map mid-page. The merged page replays
+// through f only after the last pull and its check, so an aborted page
+// has delivered nothing and can simply be retried. Parts must partition
+// the key space (no shared keys) and every part must implement Cursor.
 //
-// Like every composite page, keys already delivered come from per-part
+// Like every composite page, delivered keys come from per-part
 // sub-snapshots taken at pull time; buffered overshoot beyond the last
 // delivered key is discarded and re-fetched by position on the next call.
 func StreamMergeNext(c *Ctx, parts []Set, pos, hi Key, max int, afterPull func(part int) bool, f func(k Key, v Value) bool) (next Key, done bool, aborted bool) {
-	if pos >= hi {
+	if pos >= hi || len(parts) == 0 {
 		return hi, true, false
 	}
-	max = clampPageMax(max)
-	chunk := streamChunk(max, len(parts))
-	h := make(mergeHeap, 0, len(parts))
-	streams := make([]*PageStream, 0, len(parts))
-	defer func() {
-		for _, s := range streams {
-			s.Release()
-		}
-	}()
+	fr := getFrame()
+	exhausted, aborted := fr.merge(c, parts, pos, hi, clampPageMax(max), afterPull)
+	if !aborted {
+		next, done = ReplayPage(fr.buf, exhausted, hi, f)
+	}
+	fr.release()
+	return next, done, aborted
+}
+
+// merge runs the pulls and the heap merge of StreamMergeNext into
+// fr.buf; exhausted says every stream drained inside the budget.
+func (fr *pageFrame) merge(c *Ctx, parts []Set, pos, hi Key, max int, afterPull func(part int) bool) (exhausted, aborted bool) {
+	fr.open(c, hi, len(parts), streamChunk(max, len(parts)))
+	h := fr.heap[:0]
 	for i, p := range parts {
-		s := NewPageStream(c, p.(Cursor), pos, hi, chunk)
-		streams = append(streams, s)
-		s.Refill() // an empty result marks the stream drained
+		s := fr.stream(i, p.(Cursor), pos)
+		fr.refill(s) // an empty result marks the stream drained
 		if afterPull != nil && !afterPull(i) {
-			return 0, false, true
+			return false, true
 		}
 		if head, ok := s.Peek(); ok {
 			h = append(h, streamHead{key: head.K, s: s, part: i})
 			h.siftUp(len(h) - 1)
 		}
 	}
-	delivered := 0
 	for len(h) > 0 {
 		top := &h[0]
 		pair, _ := top.s.Pop()
-		if !f(pair.K, pair.V) {
-			return pair.K + 1, false, false
-		}
-		delivered++
-		if delivered == max {
-			// Budget filled: decide done without another refill (a
+		fr.buf = append(fr.buf, pair)
+		if len(fr.buf) == max {
+			// Budget filled: decide exhaustion without another refill (a
 			// refill here would be pure overcollect — its keys would be
 			// discarded and re-fetched by the next page anyway).
-			if _, ok := top.s.Peek(); ok || !top.s.Drained() {
-				return pair.K + 1, false, false
-			}
-			if len(h) == 1 {
-				return hi, true, false
-			}
-			return pair.K + 1, false, false
+			return len(h) == 1 && top.s.Drained(), false
 		}
 		// Restore the heap: refill the popped stream if its buffer
 		// emptied (the merge may not deliver past a live stream's
 		// position), then re-key or drop its slot.
 		if _, ok := top.s.Peek(); !ok && !top.s.Drained() {
-			top.s.Refill()
+			fr.refill(top.s)
 			if afterPull != nil && !afterPull(top.part) {
-				return 0, false, true
+				return false, true
 			}
 		}
 		if head, ok := top.s.Peek(); ok {
@@ -278,60 +210,67 @@ func StreamMergeNext(c *Ctx, parts []Set, pos, hi Key, max int, afterPull func(p
 			h.siftDown(0)
 		}
 	}
-	return hi, true, false
+	return true, false
 }
 
-// StreamMergePage is StreamMergeNext with the delivery buffered: the
-// merged page collects into a slice instead of running a user callback,
-// so callers that must validate the whole page before releasing it
-// (elastic composites re-checking their epoch witness) can discard an
-// aborted page without having delivered anything.
-func StreamMergePage(c *Ctx, parts []Set, pos, hi Key, max int, afterPull func(part int) bool) (buf []ScanPair, next Key, done bool, aborted bool) {
-	next, done, aborted = StreamMergeNext(c, parts, pos, hi, max, afterPull, func(k Key, v Value) bool {
-		buf = append(buf, ScanPair{K: k, V: v})
-		return true
-	})
-	return buf, next, done, aborted
+// MergeScan is the one-shot scan of a hash partition: collect every
+// part's atomic sub-snapshot of [lo, hi) through the part's own
+// linearizable scan, sort the union by key (partitions are disjoint, so
+// there are no duplicates to resolve), and replay in ascending order;
+// finished is false iff f stopped the replay early. Per-key consistency
+// is inherited from the per-part snapshots: every reported presence or
+// absence was true at some instant inside the call.
+//
+// afterPart, when non-nil, runs after parts[i] is collected; returning
+// false aborts the scan before anything is delivered (aborted == true),
+// like StreamMergeNext's afterPull. Every part must implement Scanner.
+func MergeScan(c *Ctx, parts []Set, lo, hi Key, afterPart func(part int) bool, f func(k Key, v Value) bool) (finished, aborted bool) {
+	fr := getFrame()
+	fr.dst = &fr.buf
+	for i, p := range parts {
+		p.(Scanner).Scan(c, lo, hi, fr.sink)
+		if afterPart != nil && !afterPart(i) {
+			fr.release()
+			return false, true
+		}
+	}
+	SortScanPairs(fr.buf)
+	finished = ReplayScan(fr.buf, f)
+	fr.release()
+	return finished, false
 }
 
 // StreamDrainNext pages an ordered disjoint partition — parts[i]'s keys
 // all precede parts[i+1]'s (a range partition, e.g. the overlapping
 // stripes of a striped composite) — by draining parts in order through
-// bounded pull streams: no merge, no overshoot, and parts beyond the
+// one bounded pull stream: no merge, no overshoot, and parts beyond the
 // one where the budget fills are never touched. The concatenation is
 // ascending whenever the parts' own cursors are.
 func StreamDrainNext(c *Ctx, parts []Set, pos, hi Key, max int, f func(k Key, v Value) bool) (next Key, done bool) {
 	if pos >= hi {
 		return hi, true
 	}
-	max = clampPageMax(max)
-	remaining := max
-	nextPos := pos
+	remaining := clampPageMax(max)
+	fr := getFrame()
+	defer fr.release()
 	for i, p := range parts {
-		s := NewPageStream(c, p.(Cursor), pos, hi, remaining)
-		for {
-			if !s.Refill() {
-				break // part exhausted; drain the next one
-			}
+		fr.open(c, hi, 1, remaining)
+		s := fr.stream(0, p.(Cursor), pos)
+		for fr.refill(s) {
 			pair, _ := s.Pop()
 			if !f(pair.K, pair.V) {
-				s.Release()
 				return pair.K + 1, false
 			}
 			remaining--
-			nextPos = pair.K + 1
 			if remaining == 0 {
-				drained := s.Drained()
-				s.Release()
-				if drained && i == len(parts)-1 {
+				if s.Drained() && i == len(parts)-1 {
 					// Budget filled exactly at the end of the last part.
 					return hi, true
 				}
 				// Later parts (or this one) may still hold keys.
-				return nextPos, false
+				return pair.K + 1, false
 			}
 		}
-		s.Release()
 	}
 	return hi, true
 }

@@ -153,22 +153,38 @@ func TestStreamMergeEarlyStop(t *testing.T) {
 }
 
 // TestStreamMergeAbort: the per-pull hook aborting poisons the page
-// before anything more is delivered (the elastic stale-epoch path).
+// before anything is delivered (the elastic stale-epoch path) — the
+// merge replays only after its last pull, so an abort on the first pull,
+// mid-fill or on a refill deep into the merge all deliver nothing, and a
+// retry on the same context (same pooled frame) is then complete.
 func TestStreamMergeAbort(t *testing.T) {
 	sets, _ := modPartition(100, 4)
 	c := NewCtx(0)
-	pullsSeen := 0
-	_, _, aborted := StreamMergeNext(c, sets, 0, 100, 10, func(part int) bool {
-		pullsSeen++
-		return pullsSeen < 3
-	}, func(Key, Value) bool { return true })
-	if !aborted {
-		t.Fatal("abort hook returning false did not abort the merge")
-	}
-	// And the buffered variant delivers nothing on abort.
-	buf, _, _, aborted := StreamMergePage(c, sets, 0, 100, 10, func(int) bool { return false })
-	if !aborted || len(buf) != 0 {
-		t.Fatalf("aborted StreamMergePage returned buf=%v aborted=%v", buf, aborted)
+	for _, abortAt := range []int{1, 3, 5, 7} {
+		pullsSeen, delivered := 0, 0
+		_, _, aborted := StreamMergeNext(c, sets, 0, 100, 60, func(part int) bool {
+			pullsSeen++
+			return pullsSeen < abortAt
+		}, func(Key, Value) bool { delivered++; return true })
+		if !aborted {
+			t.Fatalf("abort hook returning false on pull %d did not abort the merge", abortAt)
+		}
+		if delivered != 0 {
+			t.Fatalf("page aborted on pull %d had already delivered %d keys", abortAt, delivered)
+		}
+		var got []Key
+		next, done, aborted := StreamMergeNext(c, sets, 0, 100, 60, func(int) bool { return true }, func(k Key, v Value) bool {
+			got = append(got, k)
+			return true
+		})
+		if aborted || done || next != 60 || len(got) != 60 {
+			t.Fatalf("retry after abort: next=%d done=%v aborted=%v with %d keys, want 60 false false 60", next, done, aborted, len(got))
+		}
+		for i, k := range got {
+			if k != Key(i) {
+				t.Fatalf("retry after abort: position %d holds key %d", i, k)
+			}
+		}
 	}
 }
 
@@ -223,7 +239,7 @@ func TestStreamDrainSequential(t *testing.T) {
 }
 
 // TestPageStreamDefensive: a buggy source returning an empty non-done
-// page is treated as drained instead of spinning the merge.
+// page is treated as drained instead of spinning the merge or the drain.
 type emptyLiar struct{ sliceSet }
 
 func (s *emptyLiar) CursorNext(c *Ctx, pos, hi Key, max int, f func(k Key, v Value) bool) (Key, bool) {
@@ -231,15 +247,58 @@ func (s *emptyLiar) CursorNext(c *Ctx, pos, hi Key, max int, f func(k Key, v Val
 }
 
 func TestPageStreamDefensive(t *testing.T) {
-	s := NewPageStream(NewCtx(0), &emptyLiar{}, 0, 100, 8)
-	if s.Refill() {
-		t.Fatal("liar source reported data")
-	}
-	if !s.Drained() {
-		t.Fatal("empty non-done page did not drain the stream")
-	}
-	next, done, _ := StreamMergeNext(NewCtx(0), []Set{&emptyLiar{}}, 0, 100, 8, nil, func(Key, Value) bool { return true })
+	all := func(Key, Value) bool { return true }
+	next, done, _ := StreamMergeNext(NewCtx(0), []Set{&emptyLiar{}}, 0, 100, 8, nil, all)
 	if !done || next != 100 {
 		t.Fatalf("merge over a liar source returned next=%d done=%v", next, done)
+	}
+	if next, done := StreamDrainNext(NewCtx(0), []Set{&emptyLiar{}}, 0, 100, 8, all); !done || next != 100 {
+		t.Fatalf("drain over a liar source returned next=%d done=%v", next, done)
+	}
+}
+
+// Scan gives sliceSet the one-shot protocol MergeScan collects through.
+func (s *sliceSet) Scan(c *Ctx, lo, hi Key, f func(k Key, v Value) bool) bool {
+	for _, k := range s.keys {
+		if k >= lo && k < hi && !f(k, Value(k)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMergeScan: the collect-and-sort scan delivers the ascending union
+// of a mod partition's window, honours early stop, and an afterPart
+// abort — on any part — delivers nothing and leaves the retry complete.
+func TestMergeScan(t *testing.T) {
+	sets, _ := modPartition(200, 5)
+	c := NewCtx(0)
+	var got []Key
+	finished, aborted := MergeScan(c, sets, 20, 120, nil, func(k Key, v Value) bool {
+		got = append(got, k)
+		return v == Value(k)
+	})
+	if !finished || aborted || len(got) != 100 {
+		t.Fatalf("MergeScan = (%v, %v) with %d keys, want (true, false) with 100", finished, aborted, len(got))
+	}
+	for i, k := range got {
+		if k != Key(20+i) {
+			t.Fatalf("position %d holds key %d, want %d", i, k, 20+i)
+		}
+	}
+	calls := 0
+	if finished, _ := MergeScan(c, sets, 0, 200, nil, func(Key, Value) bool { calls++; return calls < 7 }); finished || calls != 7 {
+		t.Fatalf("early stop: finished=%v after %d calls, want false after 7", finished, calls)
+	}
+	for abortAt := range sets {
+		delivered := 0
+		_, aborted := MergeScan(c, sets, 0, 200, func(part int) bool { return part != abortAt }, func(Key, Value) bool { delivered++; return true })
+		if !aborted || delivered != 0 {
+			t.Fatalf("abort after part %d: aborted=%v with %d keys delivered", abortAt, aborted, delivered)
+		}
+		n := 0
+		if finished, aborted := MergeScan(c, sets, 0, 200, func(int) bool { return true }, func(k Key, _ Value) bool { n++; return k == Key(n-1) }); !finished || aborted || n != 200 {
+			t.Fatalf("retry after abort: (%v, %v) with %d keys", finished, aborted, n)
+		}
 	}
 }

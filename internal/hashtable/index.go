@@ -137,6 +137,12 @@ retry:
 			for {
 				currLink := curr.next[lvl].Load()
 				for currLink.marked {
+					if predLink.marked {
+						// pred was removed while the descent stood on it; a
+						// snip CASed through this link would unmark it and
+						// resurrect pred (see skiplist.LockFree.find).
+						continue retry
+					}
 					snip := &ixLink{next: currLink.next}
 					if !pred.next[lvl].CompareAndSwap(predLink, snip) {
 						continue retry

@@ -76,11 +76,16 @@ func (l *Pugh) lockPred(c *core.Ctx, pred *pughNode, k core.Key) *pughNode {
 	}
 }
 
-// Get implements core.Set: identical read path to the lazy list.
+// Get implements core.Set: identical read path to the lazy list. It
+// judges the node its own walk stopped at — re-reading the predecessor's
+// next after the walk (as search's callers do under a lock) can land on
+// a smaller key inserted in between and report a resident k absent.
 func (l *Pugh) Get(c *core.Ctx, k core.Key) (core.Value, bool) {
 	c.EpochEnter()
-	pred := l.search(k)
-	curr := pred.next.Load()
+	curr := l.head.next.Load()
+	for curr.key < k {
+		curr = curr.next.Load()
+	}
 	v, ok := curr.val, curr.key == k && !curr.marked.Load()
 	c.EpochExit()
 	return v, ok

@@ -28,7 +28,11 @@ import (
 //
 //  1. Box identity. Every link mutation installs a freshly allocated box,
 //     so a CAS can only succeed if the link is bit-identical to what the
-//     helper read — stale windows can never be written back.
+//     helper read — stale windows can never be written back. The
+//     inserted node's own link, the one word helpers write before the
+//     node is reachable, is only ever replaced from the exact box its
+//     window was installed over (wfWindow.prev), so a helper arriving
+//     after the node is linked cannot re-aim it.
 //  2. The bracket lemma. For a sorted list, the insertion bracket
 //     (pred, curr) of key k can only change through a modification of
 //     pred's link, so a successful CAS on pred's link proves the
@@ -73,11 +77,14 @@ const (
 	wfFailure
 )
 
-// wfWindow is the bracket an insert will CAS into.
+// wfWindow is the bracket an insert will CAS into, plus the box the
+// node's own link held when the window was installed: the only box a
+// helper may replace to aim the node through this window.
 type wfWindow struct {
 	pred     *wfNode
 	predLink *wfLink
 	curr     *wfNode
+	prev     *wfLink
 }
 
 // wfDesc is an immutable operation descriptor; state transitions replace
@@ -248,15 +255,26 @@ func (l *WaitFree) helpInsert(c *core.Ctx, tid int, d *wfDesc) {
 			// window.
 			nd := *d
 			nd.status = wfExecute
-			nd.win = &wfWindow{pred: pred, predLink: predLink, curr: curr}
+			nd.win = &wfWindow{pred: pred, predLink: predLink, curr: curr, prev: nl}
 			l.state[tid].CompareAndSwap(d, &nd)
 			return // caller reloads the new descriptor
 		}
 		// wfExecute: link through the installed window.
 		w := d.win
-		if nl.next != w.curr || nl.src != d {
-			// Force the node's link to the window's successor, with
-			// provenance, so stale writes can be detected by box identity.
+		if nl.src != d {
+			if nl != w.prev {
+				// Neither the box this window was installed over nor the
+				// one aimed through it: n is linked and a neighbour has
+				// rewritten its link since (an insert or snip behind it),
+				// or d is stale and the finish below is a no-op. Either
+				// way the link is no longer this operation's to write — a
+				// late helper re-aiming a linked node cut the insertions
+				// behind it out of the list.
+				l.finish(tid, d, wfSuccess)
+				return
+			}
+			// Aim the node at the window's successor, with provenance, so
+			// stale writes can be detected by box identity.
 			if !n.link.CompareAndSwap(nl, &wfLink{next: w.curr, src: d}) {
 				continue
 			}

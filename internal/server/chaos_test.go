@@ -5,7 +5,9 @@
 package server
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -284,6 +286,46 @@ func TestClientRetriesDroppedConns(t *testing.T) {
 	}
 	if len(seen) != 64 {
 		t.Fatalf("pagination under drops delivered %d of 64 keys", len(seen))
+	}
+}
+
+// TestFaultedConnBothDirections: on a pipelined connection the session
+// goroutine reads the next burst while the write queue's goroutine is
+// still flushing the last one, so both draw conn.* faults at once. Each
+// direction has an injector of its own; sharing one was a data race on
+// its draw counters (run under -race). Every connection here can only
+// end by an injected drop, so the tally must count at least one each.
+func TestFaultedConnBothDirections(t *testing.T) {
+	srv, addr, shutdown := startServer(t, Config{
+		Spec: "sharded(4,hashtable/lazy)", Size: 256,
+		Fault: mustPlan(t, "conn.drop:every=40;seed=5"),
+	})
+	const conns = 6
+	burst := bytes.Repeat([]byte("get 1 2 3\r\n"), 32)
+	for i := 0; i < conns; i++ {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nc.SetDeadline(time.Now().Add(10 * time.Second))
+		drained := make(chan struct{})
+		go func() {
+			io.Copy(io.Discard, nc) // until the server severs the conn
+			close(drained)
+		}()
+		for {
+			if _, err := nc.Write(burst); err != nil {
+				break
+			}
+		}
+		<-drained
+		nc.Close()
+	}
+	if err := shutdown(); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if got := srv.FaultTally().Count(fault.ConnDrop); got < conns {
+		t.Fatalf("%d connections ended with only %d injected drops", conns, got)
 	}
 }
 

@@ -1,9 +1,15 @@
 // faultConn is the transport face of the chaos plane: a net.Conn whose
-// reads and writes pass through the connection's fault injector. Slow
-// connections stall before I/O, torn connections deliver a prefix of a
-// write and die, dropped connections die outright. Deadlines, addresses
-// and Close delegate to the real conn, so drain interrupts and idle
-// eviction work unchanged on a faulted connection.
+// reads and writes pass through fault injectors. Slow connections stall
+// before I/O, torn connections deliver a prefix of a write and die,
+// dropped connections die outright. Deadlines, addresses and Close
+// delegate to the real conn, so drain interrupts and idle eviction work
+// unchanged on a faulted connection.
+//
+// Reads run on the session's goroutine and writes on its write queue's,
+// and an Injector is single-goroutine state (draw counters, RNG
+// streams), so each direction draws from an injector of its own: firing
+// stays a pure function of (seed, point, stream, draw index) whatever
+// the interleaving of the two goroutines.
 package server
 
 import (
@@ -20,12 +26,17 @@ var (
 
 type faultConn struct {
 	net.Conn
-	inj *fault.Injector
+	rd, wr *fault.Injector
 }
 
+// writeStream offsets a connection's id into the worker-stream index of
+// its write-side injector, clear of every connection id (and so of
+// every read-side and session stream).
+const writeStream = 1 << 32
+
 func (f *faultConn) Read(p []byte) (int, error) {
-	f.inj.Delay(fault.ConnSlow)
-	if f.inj.Fire(fault.ConnDrop) {
+	f.rd.Delay(fault.ConnSlow)
+	if f.rd.Fire(fault.ConnDrop) {
 		f.Conn.Close()
 		return 0, errInjectedDrop
 	}
@@ -33,8 +44,8 @@ func (f *faultConn) Read(p []byte) (int, error) {
 }
 
 func (f *faultConn) Write(p []byte) (int, error) {
-	f.inj.Delay(fault.ConnSlow)
-	if f.inj.Fire(fault.ConnTorn) && len(p) > 1 {
+	f.wr.Delay(fault.ConnSlow)
+	if f.wr.Fire(fault.ConnTorn) && len(p) > 1 {
 		// Half the buffer reaches the wire, then the conn dies: the
 		// client sees a truncated response it must not mistake for a
 		// complete one (the protocol's CRLF/END framing guarantees it
@@ -43,7 +54,7 @@ func (f *faultConn) Write(p []byte) (int, error) {
 		f.Conn.Close()
 		return n, errInjectedTear
 	}
-	if f.inj.Fire(fault.ConnDrop) {
+	if f.wr.Fire(fault.ConnDrop) {
 		f.Conn.Close()
 		return 0, errInjectedDrop
 	}

@@ -288,6 +288,13 @@ func (s *Server) Serve(l net.Listener) error {
 	s.lis = l
 	s.mu.Unlock()
 	defer l.Close()
+	if s.draining.Load() {
+		// Shutdown overtook this goroutine: it found no listener to close,
+		// so nothing would ever fail the Accept below. Either order of its
+		// flag store and the s.lis store above closes l — Shutdown sees
+		// s.lis under mu, or this load sees the flag.
+		return nil
+	}
 	for {
 		nc, err := l.Accept()
 		if err != nil {
@@ -365,7 +372,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	var rw net.Conn = nc
 	if inj != nil && (s.cfg.Fault.Enabled(fault.ConnSlow) ||
 		s.cfg.Fault.Enabled(fault.ConnTorn) || s.cfg.Fault.Enabled(fault.ConnDrop)) {
-		rw = &faultConn{Conn: nc, inj: inj}
+		rw = &faultConn{Conn: nc, rd: inj, wr: fault.NewInjector(s.cfg.Fault, uint64(id)+writeStream, s.tally)}
 	}
 	q := newWriteQueue(rw, s.cfg.WriteQueue)
 	defer func() {

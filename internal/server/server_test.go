@@ -390,3 +390,34 @@ func TestPanickingHandlerClosesCleanly(t *testing.T) {
 		t.Fatalf("domain did not quiesce: %+v", a)
 	}
 }
+
+// TestServeAfterShutdown: a Shutdown that overtakes the Serve goroutine
+// finds no listener to close, so Serve must notice the drain itself —
+// it used to sit in Accept forever. It returns promptly, without error,
+// and closes the listener it was handed.
+func TestServeAfterShutdown(t *testing.T) {
+	srv, err := New(Config{Spec: "hashtable/lazy", Size: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(l) }()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve after Shutdown = %v, want nil", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve is still accepting after an earlier Shutdown")
+	}
+	if _, err := l.Accept(); err == nil {
+		t.Fatal("Serve returned without closing its listener")
+	}
+}

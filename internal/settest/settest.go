@@ -22,6 +22,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"csds/internal/core"
 	"csds/internal/ebr"
@@ -523,7 +524,15 @@ func runReadersDuringUpdates(t *testing.T, s core.Set) {
 			defer updaters.Done()
 			c := core.NewCtx(w)
 			rng := xrand.New(uint64(w) + 321)
+			// An iteration budget or a wall budget, whichever ends first:
+			// on a structure whose updates convoy (hashtable/cow's ticket
+			// lock with 7 spinning goroutines on 2 CPUs) the fixed count
+			// alone took 16-68 s for interleavings 2 s already covers.
+			deadline := time.Now().Add(2 * time.Second)
 			for i := 0; i < scale(5000); i++ {
+				if i%64 == 0 && time.Now().After(deadline) {
+					break
+				}
 				// Churn keys around (but never equal to) the anchor.
 				k := core.Key(400 + rng.Int63n(200))
 				if k == anchor {

@@ -77,6 +77,14 @@ retry:
 			for {
 				currLink := curr.next[lvl].Load()
 				for currLink.marked {
+					if predLink.marked {
+						// pred was removed while the descent stood on it
+						// (marks go top-down, so the level above looked
+						// clean). Snipping through this link would CAS it
+						// to an unmarked one and resurrect pred; restart
+						// and snip pred itself instead.
+						continue retry
+					}
 					snip := &lfLink{next: currLink.next}
 					if !pred.next[lvl].CompareAndSwap(predLink, snip) {
 						continue retry
