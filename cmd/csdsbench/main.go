@@ -1,6 +1,7 @@
 // Command csdsbench runs a single experiment cell of the measurement
 // harness against any registered algorithm and prints every metric the
-// paper reports, in plain text or CSV.
+// paper reports as one plain-text table — the interactive front end;
+// numbers that back a claim come from the repository benchmark (bench/).
 //
 // The -alg flag accepts composite specifications built from structure
 // combinators as well as plain registry names. Elastic composites
@@ -30,8 +31,8 @@
 // override the mix field by field. -auto-spec derives the composite
 // structure from the workload instead of taking it from -alg: the tuner
 // (cmd/csdsmodel, internal/tuner) picks the shard width, cache capacity
-// and page-size hint, and the derived spec becomes the CSV alg column,
-// so auto-tuned cells are honest about what was measured.
+// and page-size hint, and the derived spec becomes the report's
+// algorithm line, so auto-tuned cells are honest about what was measured.
 //
 // A -scan-frac above 0 dedicates that fraction of operations to
 // linearizable range scans (every structure and combinator implements
@@ -44,7 +45,7 @@
 // -batch-len keys (every structure and combinator implements
 // core.Batcher); batches report their own rows — batches/sec,
 // keys/batch, batch latency, and the fraction that traveled a
-// flat-combining publication list — plus an allocs/op column:
+// flat-combining publication list — plus an allocs/op line:
 //
 //	csdsbench -alg 'sharded(32,list/lazy)' -batch-frac 0.25 -batch-len 64 -zipf 0.9
 package main
@@ -75,12 +76,6 @@ import (
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
-
-// csvHeader is the pinned -csv schema. CI parses it (the bench artifact
-// and the committed BENCH_baseline.json are derived from these columns),
-// so changes here must be deliberate: update the smoke test, the
-// benchsnap tool's expectations, and regenerate the baseline together.
-const csvHeader = "alg,threads,size,updates,zipf,ebr,net,workload,mops,perthread_mean,perthread_stddev,waitfrac,restartfrac,restart3frac,maxwait_ns,fallbackfrac,resizes,final_width,scanfrac,scans_per_s,scan_mean_keys,scan_mean_ns,scan_max_ns,cursorfrac,pages_per_s,page_mean_keys,page_mean_ns,page_max_ns,cursor_retry_frac,page_pulls,page_pull_keys,batchfrac,batches_per_s,batch_mean_keys,batch_mean_ns,combine_frac,allocs_op,gc_pause_ns,pool_hit_frac,cache_hit_frac,cache_expiries"
 
 // benchOpts holds every flag's destination. The FlagSet they register on
 // (newFlags) is the single source of flag documentation: -list prints
@@ -119,7 +114,6 @@ type benchOpts struct {
 	autoSpec   *bool
 	cacheTTL   *time.Duration
 	cacheAdmit *string
-	csv        *bool
 	listAlgs   *bool
 }
 
@@ -160,7 +154,6 @@ func newFlags(stderr io.Writer) (*flag.FlagSet, *benchOpts) {
 		autoSpec:   fs.Bool("auto-spec", false, "derive the composite spec from the workload via the tuner; -alg must then name a plain leaf algorithm"),
 		cacheTTL:   fs.Duration("cache-ttl", 0, "readcache entry TTL: expired entries are never served and re-read through (0 = no expiry)"),
 		cacheAdmit: fs.String("cache-admit", "", "readcache admission policy on miss fills: always, tinylfu or window (empty = always)"),
-		csv:        fs.Bool("csv", false, "CSV output"),
 		listAlgs:   fs.Bool("list", false, "list registered algorithms, combinators and flags, then exit"),
 	}
 	return fs, o
@@ -362,7 +355,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// -auto-spec: the tuner derives the composite around the -alg leaf.
 	// The derived spec replaces the algorithm everywhere — including the
-	// CSV alg column, so auto-tuned cells record what was actually built.
+	// report's algorithm line, so auto-tuned cells record what was built.
 	alg := *o.alg
 	cacheAdmit := *o.cacheAdmit
 	if *o.autoSpec {
@@ -453,36 +446,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "      flags: %s\n", strings.Join(flagRoster(fs), " "))
 		return 1
 	}
-	if *o.csv {
-		ebr := 0
-		if *o.ebrOn {
-			ebr = 1
-		}
-		netCol := 0
-		if *o.net != "" {
-			netCol = 1
-		}
-		// The workload axis carries the -workload spec verbatim ("-" when
-		// unset). The spec grammar separates modifiers with colons, never
-		// commas, so the value survives as one CSV field.
-		wlCol := *o.wl
-		if wlCol == "" {
-			wlCol = "-"
-		}
-		fmt.Fprintln(stdout, csvHeader)
-		fmt.Fprintf(stdout, "%s,%d,%d,%g,%g,%d,%d,%s,%.4f,%.1f,%.1f,%.6f,%.6f,%.6f,%d,%.6f,%d,%d,%g,%.1f,%.1f,%.0f,%d,%g,%.1f,%.1f,%.0f,%d,%.6f,%.1f,%.1f,%g,%.1f,%.1f,%.0f,%.6f,%.2f,%d,%.4f,%.4f,%d\n",
-			alg, *o.threads, *o.size, wcfg.UpdateRatio, wcfg.ZipfS, ebr, netCol, wlCol,
-			res.Throughput/1e6, res.PerThreadMean, res.PerThreadStddev,
-			res.WaitFraction, res.RestartedFrac, res.RestartedFrac3,
-			res.MaxWaitNs, res.FallbackFrac, res.Resizes, res.FinalWidth,
-			wcfg.ScanRatio, res.ScanThroughput, res.ScanKeysMean, res.ScanMeanNs, res.ScanMaxNs,
-			wcfg.CursorRatio, res.PageThroughput, res.PageKeysMean, res.PageMeanNs, res.PageMaxNs, res.CursorRetryFrac,
-			res.PagePullsMean, res.PagePullKeysMean,
-			wcfg.BatchRatio, res.BatchThroughput, res.BatchKeysMean, res.BatchMeanNs,
-			res.CombineFrac, res.AllocsPerOp, res.GCPauseNs, res.PoolHitFrac,
-			res.CacheHitFrac, res.CacheExpiries)
-		return 0
-	}
 	fmt.Fprintf(stdout, "algorithm          %s\n", alg)
 	if *o.autoSpec {
 		fmt.Fprintf(stdout, "auto-tuned         derived from -alg %s by the tuner (csdsmodel -auto-spec explains it)\n", *o.alg)
@@ -505,16 +468,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if res.TotalScans > 0 {
 		fmt.Fprintf(stdout, "scan throughput    %.0f scans/s (%d scans total, %.1f keys/scan)\n",
 			res.ScanThroughput, res.TotalScans, res.ScanKeysMean)
+		// Means keep ns resolution: a sub-µs scan would print as 0 or 1µs.
 		fmt.Fprintf(stdout, "scan latency       mean %v, worst %v, %.3f retries/scan\n",
-			time.Duration(res.ScanMeanNs).Round(time.Microsecond),
-			time.Duration(res.ScanMaxNs).Round(time.Microsecond), res.ScanRetryFrac)
+			time.Duration(res.ScanMeanNs), time.Duration(res.ScanMaxNs).Round(time.Microsecond), res.ScanRetryFrac)
 	}
 	if res.TotalPages > 0 {
 		fmt.Fprintf(stdout, "cursor throughput  %.0f pages/s (%d pages over %d paginated scans, %.1f keys/page)\n",
 			res.PageThroughput, res.TotalPages, res.TotalCursors, res.PageKeysMean)
 		fmt.Fprintf(stdout, "page latency       mean %v, worst %v, %.3f retries/page\n",
-			time.Duration(res.PageMeanNs).Round(time.Microsecond),
-			time.Duration(res.PageMaxNs).Round(time.Microsecond), res.CursorRetryFrac)
+			time.Duration(res.PageMeanNs), time.Duration(res.PageMaxNs).Round(time.Microsecond), res.CursorRetryFrac)
 		over := 1.0
 		if res.PageKeysMean > 0 {
 			over = res.PagePullKeysMean / res.PageKeysMean
@@ -526,8 +488,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "batch throughput   %.0f batches/s (%d batches, %d keys total, %.1f keys/batch)\n",
 			res.BatchThroughput, res.TotalBatches, res.TotalBatchKeys, res.BatchKeysMean)
 		fmt.Fprintf(stdout, "batch latency      mean %v, worst %v\n",
-			time.Duration(res.BatchMeanNs).Round(time.Microsecond),
-			time.Duration(res.BatchMaxNs).Round(time.Microsecond))
+			time.Duration(res.BatchMeanNs), time.Duration(res.BatchMaxNs).Round(time.Microsecond))
 		fmt.Fprintf(stdout, "flat combining     %.6f of batches rode a combiner (%d combined)\n",
 			res.CombineFrac, res.CombinedBatches)
 	}

@@ -112,7 +112,7 @@ func TestListShowsEveryMix(t *testing.T) {
 func TestFlagRosterPinned(t *testing.T) {
 	want := []string{
 		"-alg", "-auto-spec", "-batch-dist", "-batch-frac", "-batch-len",
-		"-cache-admit", "-cache-ttl", "-csv",
+		"-cache-admit", "-cache-ttl",
 		"-cursor-frac", "-delayed", "-dur", "-ebr",
 		"-elastic-grow", "-elastic-growwait", "-elastic-interval",
 		"-elastic-max", "-elastic-min", "-elastic-shrink",
@@ -136,7 +136,7 @@ func TestFlagRosterPinned(t *testing.T) {
 // TestNetRejectsLocalFlags: flags that configure the in-process
 // structure or harness must be refused in networked mode, not silently
 // ignored (the server was configured elsewhere; pretending -ebr applies
-// would make the CSV row lie).
+// would make the report lie).
 func TestNetRejectsLocalFlags(t *testing.T) {
 	for _, extra := range [][]string{
 		{"-ebr"},
@@ -364,66 +364,6 @@ func TestBatchFlagValidation(t *testing.T) {
 	}
 }
 
-// TestCSVSchemaPinned pins the full -csv header verbatim and checks the
-// row/header column agreement: the CI bench artifact and the committed
-// BENCH_baseline.json are derived from exactly these columns, so any
-// drift must show up here first.
-func TestCSVSchemaPinned(t *testing.T) {
-	const wantHeader = "alg,threads,size,updates,zipf,ebr,net,workload,mops,perthread_mean,perthread_stddev," +
-		"waitfrac,restartfrac,restart3frac,maxwait_ns,fallbackfrac,resizes,final_width," +
-		"scanfrac,scans_per_s,scan_mean_keys,scan_mean_ns,scan_max_ns," +
-		"cursorfrac,pages_per_s,page_mean_keys,page_mean_ns,page_max_ns,cursor_retry_frac," +
-		"page_pulls,page_pull_keys," +
-		"batchfrac,batches_per_s,batch_mean_keys,batch_mean_ns,combine_frac,allocs_op," +
-		"gc_pause_ns,pool_hit_frac,cache_hit_frac,cache_expiries"
-	var out, errOut strings.Builder
-	code := run([]string{
-		"-alg", "list/lazy", "-threads", "2", "-size", "128",
-		"-dur", "30ms", "-runs", "1", "-scan-frac", "0.1", "-cursor-frac", "0.1",
-		"-batch-frac", "0.1", "-batch-len", "8", "-csv",
-	}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("csv cursor run exited %d (stderr: %s)", code, errOut.String())
-	}
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("csv output not header+row (one row per cell):\n%s", out.String())
-	}
-	if lines[0] != wantHeader {
-		t.Fatalf("csv header drifted:\n got %s\nwant %s", lines[0], wantHeader)
-	}
-	if nh, nr := strings.Count(lines[0], ","), strings.Count(lines[1], ","); nh != nr {
-		t.Fatalf("csv header has %d columns, row has %d", nh+1, nr+1)
-	}
-}
-
-// TestScanCSVColumns pins the CSV header and the scan columns. The
-// column-count check uses a comma-free spec: composite specs carry
-// commas of their own inside the alg column (a long-standing quirk of
-// the unquoted CSV), which a naive comma count would miscount.
-func TestScanCSVColumns(t *testing.T) {
-	var out, errOut strings.Builder
-	code := run([]string{
-		"-alg", "list/lazy", "-threads", "2", "-size", "128",
-		"-dur", "30ms", "-runs", "1", "-scan-frac", "0.2", "-csv",
-	}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("csv scan run exited %d (stderr: %s)", code, errOut.String())
-	}
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("csv output not header+row:\n%s", out.String())
-	}
-	for _, col := range []string{"scanfrac", "scans_per_s", "scan_mean_keys", "scan_mean_ns", "scan_max_ns"} {
-		if !strings.Contains(lines[0], col) {
-			t.Fatalf("csv header missing %q: %s", col, lines[0])
-		}
-	}
-	if nh, nr := strings.Count(lines[0], ","), strings.Count(lines[1], ","); nh != nr {
-		t.Fatalf("csv header has %d columns, row has %d", nh+1, nr+1)
-	}
-}
-
 // TestBenchRunSmoke runs one tiny real cell end to end, including a
 // resize, and checks the human-readable report shape.
 func TestBenchRunSmoke(t *testing.T) {
@@ -490,49 +430,43 @@ func TestWorkloadFlagRejectsUnknown(t *testing.T) {
 	}
 }
 
-// TestWorkloadCSVColumn: the workload axis lands in the CSV between net
-// and mops, verbatim for named mixes and "-" when unset.
+// TestWorkloadCSVColumn: a named mix's update ratio and skew reach the
+// run — the report's identity lines carry the -workload spec verbatim
+// and the mix's updates/zipf — and an unset -workload prints no
+// workload line.
 func TestWorkloadCSVColumn(t *testing.T) {
 	var out, errOut strings.Builder
 	code := run([]string{
 		"-workload", "ycsb-b", "-alg", "list/lazy",
-		"-threads", "1", "-size", "64", "-dur", "20ms", "-runs", "1", "-csv",
+		"-threads", "1", "-size", "64", "-dur", "20ms", "-runs", "1",
 	}, &out, &errOut)
 	if code != 0 {
-		t.Fatalf("csv workload run exited %d (stderr: %s)", code, errOut.String())
+		t.Fatalf("workload run exited %d (stderr: %s)", code, errOut.String())
 	}
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	hdr, row := strings.Split(lines[0], ","), strings.Split(lines[1], ",")
-	col := -1
-	for i, c := range hdr {
-		if c == "workload" {
-			col = i
+	for _, want := range []string{
+		"workload           ycsb-b\n",
+		"threads/size/upd   1 / 64 / 5%  (zipf 0.99)\n",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("ycsb-b identity line %q missing:\n%s", want, out.String())
 		}
-	}
-	if col == -1 || hdr[col-1] != "net" {
-		t.Fatalf("workload column misplaced in header: %s", lines[0])
-	}
-	if row[col] != "ycsb-b" {
-		t.Fatalf("workload cell %q, want ycsb-b (row: %s)", row[col], lines[1])
-	}
-	// ycsb-b's mix values flow into the updates/zipf identity columns.
-	if row[3] != "0.05" || row[4] != "0.99" {
-		t.Fatalf("mix updates/zipf not reflected in CSV identity: %s", lines[1])
 	}
 	out.Reset()
 	errOut.Reset()
-	if code := run([]string{"-alg", "list/lazy", "-threads", "1", "-size", "64", "-dur", "20ms", "-runs", "1", "-csv"}, &out, &errOut); code != 0 {
-		t.Fatalf("plain csv run exited %d", code)
+	if code := run([]string{"-alg", "list/lazy", "-threads", "1", "-size", "64", "-dur", "20ms", "-runs", "1"}, &out, &errOut); code != 0 {
+		t.Fatalf("plain run exited %d", code)
 	}
-	row = strings.Split(strings.Split(strings.TrimSpace(out.String()), "\n")[1], ",")
-	if row[col] != "-" {
-		t.Fatalf("unset workload cell %q, want -", row[col])
+	if strings.Contains(out.String(), "workload  ") {
+		t.Fatalf("unset -workload still prints a workload line:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "threads/size/upd   1 / 64 / 10%  (zipf 0)\n") {
+		t.Fatalf("flag-default identity line missing:\n%s", out.String())
 	}
 }
 
 // TestAutoSpecSmoke: -auto-spec swaps the derived composite in for the
-// leaf, reports the derivation, and records the composite in the CSV
-// alg column (the cell identity must describe what was measured).
+// leaf, reports the derivation, and records the composite on the
+// algorithm line (the cell identity must describe what was measured).
 func TestAutoSpecSmoke(t *testing.T) {
 	var out, errOut strings.Builder
 	code := run([]string{
@@ -542,23 +476,14 @@ func TestAutoSpecSmoke(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("auto-spec run exited %d (stderr: %s)", code, errOut.String())
 	}
-	for _, want := range []string{"auto-tuned", "readcache(", "sharded(", "cache    "} {
+	for _, want := range []string{"auto-tuned", "cache    "} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("auto-spec report missing %q:\n%s", want, out.String())
 		}
 	}
-	out.Reset()
-	errOut.Reset()
-	code = run([]string{
-		"-workload", "ycsb-b", "-auto-spec", "-alg", "list/lazy",
-		"-threads", "2", "-size", "2048", "-dur", "30ms", "-runs", "1", "-csv",
-	}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("auto-spec csv run exited %d (stderr: %s)", code, errOut.String())
-	}
-	row := strings.Split(strings.TrimSpace(out.String()), "\n")[1]
-	if !strings.HasPrefix(row, "readcache(") {
-		t.Fatalf("csv alg column does not carry the derived spec: %s", row)
+	first, _, _ := strings.Cut(out.String(), "\n")
+	if !strings.HasPrefix(first, "algorithm          readcache(") || !strings.Contains(first, "sharded(") {
+		t.Fatalf("algorithm line does not carry the derived spec: %q", first)
 	}
 }
 

@@ -31,8 +31,8 @@ const netPagePull = 1024
 // netRun drives the configured workload against a remote csdsd and
 // folds the per-worker counters into the same Result the local harness
 // produces. Server-side effects the client cannot observe (EBR, HTM,
-// resizes) stay zero in the Result; the CSV's net column marks the row
-// so those zeros are never mistaken for local measurements. With a
+// resizes) stay zero in the Result; the report's "networked" line marks
+// the run so those zeros are never mistaken for local measurements. With a
 // fault plan armed the duration-driven loop is replaced by the
 // fixed-budget wire chaos cell (chaos.go), whose returned info the text
 // report renders.

@@ -1,45 +1,49 @@
 // Command csdsmodel is the analytic side of the tuning loop: it
 // evaluates the Section 6 birthday-paradox conflict model (the paper's
 // four numeric examples by default, or a custom scenario from flags),
-// validates the internal/sim cost model against measured bench-grid
-// cells, and derives auto-tuned composite specifications from a named
-// workload (the same derivation csdsbench -auto-spec runs).
+// validates the internal/sim cost model against cells it measures on
+// the spot, and derives auto-tuned composite specifications from a
+// named workload (the same derivation csdsbench -auto-spec runs).
 //
 // Usage:
 //
 //	csdsmodel                 # reproduce §6.1–§6.4 numbers
 //	csdsmodel -threads 40 -size 512 -updates 0.2 -writefrac 0.1 -kind list
-//	csdsmodel -validate BENCH_baseline.json
+//	csdsmodel -validate
 //	csdsmodel -auto-spec -workload ycsb-b -leaf list/lazy -threads 4 -size 2048
 //
-// -validate loads a benchsnap JSON snapshot, predicts every in-process
-// cell's point throughput with the composite-aware simulator bridge
-// (internal/tuner.PredictCell), fits one global scale factor — the
-// simulator predicts shape, the factor absorbs the host's absolute
-// speed — and reports the per-cell residual error plus the grid MAE.
-// Networked cells (net=1) are skipped: loopback round-trips dominate
-// them and the simulator does not model the wire.
+// -validate measures a fixed 15-cell roster through the in-process
+// harness (validateGrid: ~10 s at 4 threads, 2048 elements, 300 ms x 2
+// per cell), predicts every cell's point throughput with the
+// composite-aware simulator bridge (internal/tuner.PredictCell), fits
+// one global scale factor — the simulator predicts shape, the factor
+// absorbs the host's absolute speed — and reports the per-cell residual
+// error plus the roster MAE. It is a report, never a gate.
 //
 // -auto-spec runs the tuner derivation and prints the composite spec
 // with one note per derived parameter; -threads 0 defaults to
 // GOMAXPROCS here (and only here — the derivation itself is a pure
-// function of its inputs, so CI can pin derived specs as grid-cell
-// identities).
+// function of its inputs, so tests can pin derived specs string for
+// string).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
-	"sort"
+	"time"
 
 	"csds/internal/birthday"
+	"csds/internal/harness"
 	"csds/internal/tuner"
 	"csds/internal/workload"
 	"csds/internal/xrand"
+
+	// -validate builds its roster by spec: list leaves under combinators.
+	_ "csds/internal/combinator"
+	_ "csds/internal/list"
 )
 
 func main() {
@@ -58,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	kind := fs.String("kind", "list", "structure kind: list | hash")
 	zipf := fs.Float64("zipf", 0, "Zipfian exponent for the non-uniform term (0 = uniform)")
 	retries := fs.Int("retries", 5, "TSX speculation budget")
-	validate := fs.String("validate", "", "benchsnap JSON snapshot to validate the simulator against")
+	validate := fs.Bool("validate", false, "measure the fixed 15-cell roster in-process (~10 s) and report the simulator's per-cell error against it")
 	autoSpec := fs.Bool("auto-spec", false, "derive an auto-tuned composite spec for -workload over -leaf")
 	mix := fs.String("workload", "paper", "named workload mix for -auto-spec (see csdsbench -list)")
 	leaf := fs.String("leaf", "list/lazy", "leaf algorithm for -auto-spec to wrap")
@@ -69,8 +73,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *validate != "" {
-		return runValidate(*validate, stdout, stderr)
+	if *validate {
+		return runValidate(harness.Run, stdout, stderr)
 	}
 	if *autoSpec {
 		t := *threads
@@ -140,89 +144,101 @@ func runAutoSpec(mix, leaf string, threads, size int, stdout, stderr io.Writer) 
 	return 0
 }
 
-// snapshot mirrors the benchsnap JSON artifact (cmd/benchsnap is a main
-// package, so the three fields are re-declared here; the format is
-// pinned by benchsnap's own tests).
-type snapshot struct {
-	Schema  string           `json:"schema"`
-	Columns []string         `json:"columns"`
-	Cells   []map[string]any `json:"cells"`
+// The -validate roster runs at one fixed budget — constants, not flags:
+// residuals are only comparable across hosts and commits if every
+// report measured the same cells the same way.
+const (
+	gridThreads = 4
+	gridSize    = 2048
+	gridWindow  = 300 * time.Millisecond
+	gridRuns    = 2
+
+	// The paper's mix at 10 % updates with a 5 % one-shot-scan and 5 %
+	// paginated-cursor tail, or with 25 % Multi* calls instead.
+	tailMix  = "paper:updates=0.1:scan-frac=0.05:cursor-frac=0.05"
+	batchMix = "paper:updates=0.1:batch-frac=0.25"
+)
+
+// validateGrid is the roster, each cell a csdsbench -alg / -workload
+// pair: the regimes the simulator has to rank — single instance, static
+// and resizable partitions at two widths, EBR twins, a cache under
+// skew, batches on wide and on one contended shard, and ycsb-b on a
+// hand-picked spec beside the tuner's own pick (auto: alg is the leaf).
+var validateGrid = []struct {
+	alg, mix  string
+	ebr, auto bool
+}{
+	{alg: "list/lazy", mix: tailMix},
+	{alg: "sharded(8,list/lazy)", mix: tailMix},
+	{alg: "elastic(8,list/lazy)", mix: tailMix},
+	{alg: "sharded(32,list/lazy)", mix: tailMix},
+	{alg: "elastic(32,list/lazy)", mix: tailMix},
+	{alg: "sharded(32,list/lazy)", mix: tailMix, ebr: true},
+	{alg: "elastic(32,list/lazy)", mix: tailMix, ebr: true},
+	{alg: "readcache(1024,list/lazy)", mix: tailMix + ":zipf=0.9"},
+	{alg: "sharded(32,list/lazy)", mix: batchMix},
+	{alg: "sharded(32,list/lazy)", mix: batchMix + ":zipf=0.9"},
+	{alg: "elastic(32,list/lazy)", mix: batchMix},
+	{alg: "elastic(32,list/lazy)", mix: batchMix + ":zipf=0.9"},
+	{alg: "sharded(1,list/lazy)", mix: batchMix + ":zipf=0.9"},
+	{alg: "sharded(32,list/lazy)", mix: "ycsb-b"},
+	{alg: "list/lazy", mix: "ycsb-b", auto: true},
 }
 
-func cellNum(cell map[string]any, col string) float64 {
-	v, _ := cell[col].(float64)
-	return v
-}
-
-// runValidate loads a benchsnap snapshot and reports the sim-vs-live
-// error per cell after a global scale fit.
-func runValidate(path string, stdout, stderr io.Writer) int {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(stderr, "csdsmodel: %v\n", err)
-		return 1
-	}
-	var snap snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		fmt.Fprintf(stderr, "csdsmodel: %s: %v\n", path, err)
-		return 1
-	}
+// runValidate measures the roster and reports the sim-vs-live error per
+// cell after a global scale fit, in roster order so twins (EBR on/off,
+// uniform/skewed, hand/auto) sit next to each other. measure is
+// harness.Run outside tests.
+func runValidate(measure func(harness.Config) (harness.Result, error), stdout, stderr io.Writer) int {
 	var cells []tuner.Cell
 	var keys []string
 	var live []float64
-	skippedNet := 0
-	for _, cell := range snap.Cells {
-		alg, _ := cell["alg"].(string)
-		if cellNum(cell, "net") != 0 {
-			skippedNet++ // loopback RTT dominates; the simulator has no wire model
-			continue
+	for _, g := range validateGrid {
+		// Parse, derive and measure share one error path.
+		wl, err := workload.ParseMix(g.mix)
+		wl.Size = gridSize
+		cfg := harness.Config{
+			Algorithm: g.alg, Threads: gridThreads, Duration: gridWindow, Runs: gridRuns,
+			UseEBR: g.ebr, Workload: wl,
+		}
+		if err == nil && g.auto {
+			var d tuner.Derived
+			d, err = tuner.Derive(tuner.Inputs{Leaf: g.alg, Threads: gridThreads, Size: gridSize, Workload: wl})
+			cfg.Algorithm, cfg.CacheAdmission = d.Spec, d.CacheAdmission
+		}
+		var res harness.Result
+		if err == nil {
+			res, err = measure(cfg)
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "csdsmodel: -validate: %s on %s: %v\n", g.alg, g.mix, err)
+			return 1
+		}
+		key := cfg.Algorithm + " " + g.mix
+		if g.ebr {
+			key += " ebr"
 		}
 		cells = append(cells, tuner.Cell{
-			Alg:        alg,
-			Threads:    int(cellNum(cell, "threads")),
-			Size:       int(cellNum(cell, "size")),
-			Updates:    cellNum(cell, "updates"),
-			Zipf:       cellNum(cell, "zipf"),
-			ScanFrac:   cellNum(cell, "scanfrac"),
-			CursorFrac: cellNum(cell, "cursorfrac"),
-			BatchFrac:  cellNum(cell, "batchfrac"),
+			Alg: cfg.Algorithm, Threads: gridThreads, Size: gridSize, Updates: wl.UpdateRatio, Zipf: wl.ZipfS,
+			ScanFrac: wl.ScanRatio, CursorFrac: wl.CursorRatio, BatchFrac: wl.BatchRatio,
 		})
-		key := fmt.Sprintf("%s zipf=%g", alg, cellNum(cell, "zipf"))
-		if cellNum(cell, "ebr") != 0 {
-			key += " ebr=1"
-		}
-		if cellNum(cell, "batchfrac") != 0 {
-			key += fmt.Sprintf(" batchfrac=%g", cellNum(cell, "batchfrac"))
-		}
-		if w, _ := cell["workload"].(string); w != "" && w != "-" {
-			key += " workload=" + w
-		}
 		keys = append(keys, key)
-		live = append(live, cellNum(cell, "mops")*1e6)
+		live = append(live, res.Throughput)
 	}
 	v, err := tuner.Validate(cells, keys, live)
 	if err != nil {
 		fmt.Fprintf(stderr, "csdsmodel: %v\n", err)
 		return 1
 	}
-	fmt.Fprintf(stdout, "sim-vs-live validation of %s (%s)\n", path, snap.Schema)
+	fmt.Fprintf(stdout, "sim-vs-live validation on this host; each cell is csdsbench -alg <spec> -workload <mix> [-ebr] -threads %d -size %d -dur %v -runs %d\n",
+		gridThreads, gridSize, gridWindow, gridRuns)
 	fmt.Fprintf(stdout, "global scale factor %.3g (geometric mean live/predicted; the simulator predicts shape, not nanoseconds)\n", v.Scale)
-	sorted := append([]tuner.CellError(nil), v.Cells...)
-	sort.Slice(sorted, func(i, j int) bool { return abs(sorted[i].ResidFrac) < abs(sorted[j].ResidFrac) })
-	for _, c := range sorted {
-		fmt.Fprintf(stdout, "  %-60s live %8.3f Mops  pred %8.3f Mops  error %+6.1f%%\n",
+	for _, c := range v.Cells {
+		fmt.Fprintf(stdout, "  %-72s live %8.3f Mops  pred %8.3f Mops  error %+6.1f%%\n",
 			c.Key, c.LiveMops, c.PredMops, 100*c.ResidFrac)
 	}
-	fmt.Fprintf(stdout, "%d cells validated (%d networked skipped), mean |error| %.1f%%\n",
-		len(v.Cells), skippedNet, 100*v.MAEFrac)
+	fmt.Fprintf(stdout, "%d cells validated, mean |error| %.1f%%\n", len(v.Cells), 100*v.MAEFrac)
 	return 0
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 func paperExamples(w io.Writer) {

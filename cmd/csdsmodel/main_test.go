@@ -1,10 +1,15 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"csds/internal/harness"
+	"csds/internal/tuner"
 )
 
 // TestPaperExamplesDefault: no flags still reproduces the §6 numbers.
@@ -21,8 +26,9 @@ func TestPaperExamplesDefault(t *testing.T) {
 }
 
 // TestAutoSpecDerivesGridCell: the -auto-spec mode prints the same spec
-// the tuner derives for the CI grid's auto-tuned cell, machine-readably
-// on the first line, with a note per parameter and a csdsbench recipe.
+// the tuner derives for the -validate roster's auto-tuned cell,
+// machine-readably on the first line, with a note per parameter and a
+// csdsbench recipe.
 func TestAutoSpecDerivesGridCell(t *testing.T) {
 	var out, errb strings.Builder
 	code := run([]string{"-auto-spec", "-workload", "ycsb-b", "-leaf", "list/lazy", "-threads", "4", "-size", "2048"}, &out, &errb)
@@ -31,7 +37,7 @@ func TestAutoSpecDerivesGridCell(t *testing.T) {
 	}
 	lines := strings.Split(out.String(), "\n")
 	if want := "spec: readcache(1024,sharded(32,list/lazy))"; lines[0] != want {
-		t.Fatalf("first line %q, want %q (the committed grid-cell identity)", lines[0], want)
+		t.Fatalf("first line %q, want %q (the pinned derivation, see tuner.TestDeriveListGridCell)", lines[0], want)
 	}
 	for _, want := range []string{"width 32", "cache 1024 slots", "csdsbench -workload ycsb-b -auto-spec", "-cache-admit tinylfu"} {
 		if !strings.Contains(out.String(), want) {
@@ -57,54 +63,48 @@ func TestAutoSpecRejectsBadInputs(t *testing.T) {
 	}
 }
 
-// TestValidateReportsPerCellError feeds a synthetic two-cell snapshot
-// whose "measurements" are a known multiple of the predictions: the
-// report must carry both cells, the fitted factor and a near-zero MAE,
-// and must skip the networked cell.
+// TestValidateReportsPerCellError substitutes the measuring function
+// with one whose "measurements" are a known multiple of the predictions
+// — computed from the run it is handed by its own mapping, so a roster
+// cell whose identity and measured config disagree shows up as error:
+// the report must carry every roster cell, the fitted factor and a
+// near-zero MAE, without spending the ~10 s the real roster takes. A
+// cell that fails to measure is an error, not a silently shorter report.
 func TestValidateReportsPerCellError(t *testing.T) {
-	const snap = `{
-  "schema": "csds-bench-v6",
-  "columns": ["alg", "threads", "size", "updates", "zipf", "ebr", "net", "mops"],
-  "cells": [
-    {"alg": "list/lazy", "threads": 4, "size": 2048, "updates": 0.1, "zipf": 0, "ebr": 0, "net": 0, "mops": 0.35},
-    {"alg": "sharded(8,list/lazy)", "threads": 4, "size": 2048, "updates": 0.1, "zipf": 0, "ebr": 0, "net": 0, "mops": 2.3},
-    {"alg": "sharded(8,list/lazy)", "threads": 4, "size": 2048, "updates": 0.1, "zipf": 0, "ebr": 0, "net": 1, "mops": 0.09}
-  ]
-}`
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := os.WriteFile(path, []byte(snap), 0o644); err != nil {
-		t.Fatal(err)
+	fake := func(cfg harness.Config) (harness.Result, error) {
+		if cfg.Threads != 4 || cfg.Workload.Size != 2048 || cfg.Duration != 300*time.Millisecond || cfg.Runs != 2 {
+			t.Errorf("%s measured off the fixed budget: %+v", cfg.Algorithm, cfg)
+		}
+		wl := cfg.Workload
+		p, err := tuner.PredictCell(tuner.Cell{
+			Alg: cfg.Algorithm, Threads: cfg.Threads, Size: wl.Size, Updates: wl.UpdateRatio, Zipf: wl.ZipfS,
+			ScanFrac: wl.ScanRatio, CursorFrac: wl.CursorRatio, BatchFrac: wl.BatchRatio,
+		}, tuner.NeutralMachine(cfg.Threads))
+		return harness.Result{Throughput: 7 * p}, err
 	}
 	var out, errb strings.Builder
-	if code := run([]string{"-validate", path}, &out, &errb); code != 0 {
+	if code := runValidate(fake, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, errb.String())
 	}
 	got := out.String()
 	for _, want := range []string{
-		"global scale factor",
-		"2 cells validated (1 networked skipped)",
-		"mean |error|",
-		"list/lazy zipf=0",
-		"sharded(8,list/lazy) zipf=0",
+		"global scale factor 7 ",
+		"15 cells validated, mean |error| 0.0%",
+		"  list/lazy paper:updates=0.1:scan-frac=0.05:cursor-frac=0.05 ",
+		"  sharded(32,list/lazy) paper:updates=0.1:scan-frac=0.05:cursor-frac=0.05 ebr ",
+		"  sharded(1,list/lazy) paper:updates=0.1:batch-frac=0.25:zipf=0.9 ",
+		"  sharded(32,list/lazy) ycsb-b ",
+		"  readcache(1024,sharded(32,list/lazy)) ycsb-b ",
 	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("validate output lacks %q:\n%s", want, got)
 		}
 	}
-}
 
-// TestValidateRejectsGarbage: a missing file and a non-JSON file both
-// error out.
-func TestValidateRejectsGarbage(t *testing.T) {
-	var out, errb strings.Builder
-	if code := run([]string{"-validate", filepath.Join(t.TempDir(), "absent.json")}, &out, &errb); code == 0 {
-		t.Fatal("missing snapshot accepted")
-	}
-	path := filepath.Join(t.TempDir(), "junk.json")
-	os.WriteFile(path, []byte("not json"), 0o644)
 	errb.Reset()
-	if code := run([]string{"-validate", path}, &out, &errb); code == 0 {
-		t.Fatal("non-JSON snapshot accepted")
+	broken := func(harness.Config) (harness.Result, error) { return harness.Result{}, errors.New("no such structure") }
+	if code := runValidate(broken, &out, &errb); code == 0 || !strings.Contains(errb.String(), "no such structure") {
+		t.Fatalf("failed measurement: exit %d, stderr %q", code, errb.String())
 	}
 }
 

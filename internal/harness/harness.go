@@ -190,7 +190,7 @@ type Result struct {
 	// Refill counters of the streaming page machinery: how much the
 	// page collects materialized. PagePullKeysMean / PageKeysMean is
 	// the overcollect factor — ~1 on O(page) protocols, k× on an eager
-	// k-way merge — so page-cost regressions show in the CSV.
+	// k-way merge — so page-cost regressions show in every report.
 	PagePullsMean    float64 // bounded per-part pulls per page
 	PagePullKeysMean float64 // keys pulled per page (overshoot+retries incl.)
 
@@ -744,7 +744,7 @@ func runOnce(cfg Config, newSet func(core.Options) core.Set, round uint64) (Resu
 	// Allocation accounting brackets the measured window with
 	// ReadMemStats (a brief stop-the-world each, outside the window's
 	// hot loop on both sides). The Mallocs delta over all work units is
-	// the allocs/op column of the bench grid.
+	// the report's allocs/op.
 	var mem0, mem1 runtime.MemStats
 	runtime.ReadMemStats(&mem0)
 	close(startGate)

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRecordOpsCounts(t *testing.T) {
@@ -166,94 +165,6 @@ func TestMeanStddev(t *testing.T) {
 	}
 	if Mean(nil) != 0 || Stddev(nil) != 0 || Stddev([]float64{1}) != 0 {
 		t.Fatal("degenerate inputs must give 0")
-	}
-}
-
-func TestHistBasic(t *testing.T) {
-	var h Hist
-	h.Add(0)
-	h.Add(1)
-	h.Add(2)
-	h.Add(3)
-	h.Add(1024)
-	if h.Count != 5 || h.Max != 1024 || h.Sum != 1030 {
-		t.Fatalf("hist wrong: %+v", h)
-	}
-	if h.Buckets[0] != 2 || h.Buckets[1] != 2 || h.Buckets[10] != 1 {
-		t.Fatalf("bucket placement wrong: %v", h.Buckets[:12])
-	}
-}
-
-func TestHistQuantile(t *testing.T) {
-	var h Hist
-	for i := 0; i < 99; i++ {
-		h.Add(8) // bucket [8,16)
-	}
-	h.Add(1 << 20)
-	if q := h.Quantile(0.5); q != 16 {
-		t.Fatalf("median upper bound = %d, want 16", q)
-	}
-	if q := h.Quantile(1.0); q != 1<<20 {
-		t.Fatalf("q100 = %d, want max", q)
-	}
-	var empty Hist
-	if empty.Quantile(0.5) != 0 {
-		t.Fatal("empty quantile must be 0")
-	}
-}
-
-func TestHistCountAbove(t *testing.T) {
-	var h Hist
-	h.Add(10)    // [8,16)
-	h.Add(100)   // [64,128)
-	h.Add(10000) // [8192,16384)
-	if n := h.CountAbove(64); n != 2 {
-		t.Fatalf("CountAbove(64) = %d, want 2", n)
-	}
-	if n := h.CountAbove(1 << 20); n != 0 {
-		t.Fatalf("CountAbove(big) = %d, want 0", n)
-	}
-}
-
-func TestHistMerge(t *testing.T) {
-	var a, b Hist
-	a.Add(5)
-	b.Add(500)
-	a.Merge(&b)
-	if a.Count != 2 || a.Max != 500 || a.Sum != 505 {
-		t.Fatalf("merge wrong: %+v", a)
-	}
-}
-
-func TestHistString(t *testing.T) {
-	var h Hist
-	h.Add(5)
-	s := h.String()
-	if s == "" {
-		t.Fatal("empty String()")
-	}
-}
-
-func TestHistQuantileMonotoneProperty(t *testing.T) {
-	// Property: for any sample set, Quantile is monotone in q and bounded
-	// by Max.
-	f := func(raw []uint16) bool {
-		var h Hist
-		for _, v := range raw {
-			h.Add(uint64(v))
-		}
-		prev := uint64(0)
-		for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
-			cur := h.Quantile(q)
-			if cur < prev {
-				return false
-			}
-			prev = cur
-		}
-		return h.Count == 0 || prev <= h.Max || prev <= 2*h.Max+2
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

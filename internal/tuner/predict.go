@@ -1,9 +1,9 @@
 // Composite-aware bridge from the internal/sim structure models to
-// measured bench-grid cells: PredictCell decomposes a composite spec
+// measured harness cells: PredictCell decomposes a composite spec
 // (sharded/striped/elastic widths, readcache capacity) into adjustments
 // of the leaf's cost model and runs the simulator on the result. It is
 // the engine of cmd/csdsmodel -validate, which fits one global scale
-// factor across the grid and reports per-cell residuals — the simulator
+// factor across its roster and reports per-cell residuals — the simulator
 // is calibrated for shape, not nanoseconds, so only the relative error
 // across cells is meaningful.
 package tuner
@@ -17,8 +17,8 @@ import (
 	"csds/internal/xrand"
 )
 
-// Cell is one measured bench-grid cell, the subset of benchsnap's
-// per-cell columns the prediction needs.
+// Cell is the identity of one measured harness cell: what the
+// prediction needs to know about the run.
 type Cell struct {
 	Alg        string
 	Threads    int
@@ -186,7 +186,7 @@ type CellError struct {
 	ResidFrac float64 // pred/live - 1 after the global scale fit
 }
 
-// Validation is the grid-level result of Validate.
+// Validation is the roster-level result of Validate.
 type Validation struct {
 	Scale   float64 // fitted live/raw-prediction factor (geometric mean)
 	MAEFrac float64 // mean |residual|

@@ -9,10 +9,10 @@
 // traversal work is not dominated by partitionable pointer chasing.
 //
 // The derivation is deterministic: every output is a pure function of
-// the explicit Inputs, so the CI bench grid can pin the derived spec as
-// a cell identity (benchsnap CheckGrid compares it string-for-string)
-// without the answer drifting across hosts. GOMAXPROCS enters only as a
-// CLI default in cmd/csdsmodel, never inside Derive.
+// the explicit Inputs, so tests can pin a derived spec string for
+// string (TestDeriveListGridCell) without the answer drifting across
+// hosts. GOMAXPROCS enters only as a CLI default in cmd/csdsmodel,
+// never inside Derive.
 //
 // Three parameters are derived (DESIGN.md §7 documents each rule):
 //
@@ -38,7 +38,7 @@
 //     it away, so the tuner floors the page hint at that product.
 //
 // The same cost model powers PredictCell, the composite-aware bridge
-// from internal/sim structures to measured bench-grid cells that
+// from internal/sim structures to measured harness cells that
 // cmd/csdsmodel -validate uses to report sim-vs-live error.
 package tuner
 

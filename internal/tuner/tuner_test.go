@@ -15,11 +15,10 @@ import (
 	_ "csds/internal/skiplist"
 )
 
-// TestDeriveListGridCell pins the derivation for the bench grid's
-// auto-tuned cell: ycsb-b over a 2048-element list at 4 threads. The
-// exact spec string is a grid-cell identity (benchsnap CheckGrid
-// compares it against BENCH_baseline.json), so a change here must ship
-// with a regenerated baseline.
+// TestDeriveListGridCell pins the derivation for the auto-tuned cell of
+// csdsmodel -validate's roster: ycsb-b over a 2048-element list at 4
+// threads. The exact spec string is the tuner's pinned identity, so a
+// change here is a deliberate change of derivation rule.
 func TestDeriveListGridCell(t *testing.T) {
 	cfg, err := workload.ParseMix("ycsb-b")
 	if err != nil {
@@ -42,11 +41,11 @@ func TestDeriveListGridCell(t *testing.T) {
 	if d.Spec != want {
 		t.Fatalf("spec %q, want %q", d.Spec, want)
 	}
-	// The exact string is the CI grid cell's identity (bench_grid.sh,
-	// BENCH_baseline.json, the csdsmodel walkthrough in the README):
-	// changing the derivation means regenerating all of them.
+	// The exact string also appears in csdsmodel's TestAutoSpecDerivesGridCell
+	// and the csdsmodel walkthrough in the README: changing the
+	// derivation means updating all three.
 	if const_ := "readcache(1024,sharded(32,list/lazy))"; d.Spec != const_ {
-		t.Fatalf("spec %q, want the committed grid-cell identity %q", d.Spec, const_)
+		t.Fatalf("spec %q, want the pinned identity %q", d.Spec, const_)
 	}
 	if _, err := core.ParseSpec(d.Spec); err != nil {
 		t.Fatalf("derived spec does not parse: %v", err)
@@ -59,7 +58,7 @@ func TestDeriveListGridCell(t *testing.T) {
 	}
 }
 
-// TestDeriveDeterministic: same inputs, same answer — the grid cell
+// TestDeriveDeterministic: same inputs, same answer — the pinned
 // identity depends on it.
 func TestDeriveDeterministic(t *testing.T) {
 	cfg, _ := workload.ParseMix("ycsb-b")

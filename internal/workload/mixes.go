@@ -140,9 +140,10 @@ func modKeys() []string {
 //
 // name selects a catalog mix and each key=value modifier overrides one
 // field — e.g. "ycsb-b:updates=0.1:drift-period=0.5". The separator is
-// ':' (never ','), so specs survive verbatim as one CSV field. The
-// returned Config carries the base mix with modifiers applied, sizes
-// unset (callers supply Size), and Mix set to the normalized spec.
+// ':' (never ','), so a spec never collides with the commas of a
+// composite algorithm spec beside it. The returned Config carries the
+// base mix with modifiers applied, sizes unset (callers supply Size),
+// and Mix set to the normalized spec.
 func ParseMix(spec string) (Config, error) {
 	parts := strings.Split(spec, ":")
 	name := parts[0]

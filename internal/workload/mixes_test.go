@@ -63,7 +63,7 @@ func TestMixCatalogSane(t *testing.T) {
 			t.Fatalf("mix %q pins a size: sizes belong to the caller", m.Name)
 		}
 		if strings.ContainsAny(m.Name, ",:= ") {
-			t.Fatalf("mix name %q collides with the spec grammar or CSV", m.Name)
+			t.Fatalf("mix name %q collides with the spec grammar or a composite -alg", m.Name)
 		}
 	}
 	for _, required := range []string{"ycsb-a", "ycsb-b", "ycsb-c", "ycsb-d", "ycsb-e", "ycsb-f", "flash", "diurnal", "drift", "paper"} {

@@ -137,8 +137,7 @@ type Config struct {
 	ThinkNs int64
 
 	// Mix names the catalog mix this config was derived from (set by
-	// ParseMix, informational): it becomes the workload axis of the
-	// bench CSV. Empty for hand-assembled configs.
+	// ParseMix, informational). Empty for hand-assembled configs.
 	Mix string
 }
 

@@ -10,9 +10,9 @@
 #   sh scripts/autotune_eval.sh ./csdsbench
 #
 # The hand-tuned roster is deliberately the specs an operator would
-# reach for first: the bare leaf, the two sharded widths the bench grid
-# measures, and a generously sized read cache over the wide composite.
-# Budgets mirror the bench grid (4 threads, 2048 elements, 300ms x 2).
+# reach for first: the bare leaf, two sharded widths, and a generously
+# sized read cache over the wide composite. Budgets match csdsmodel
+# -validate (4 threads, 2048 elements, 300ms x 2).
 set -eu
 
 BIN=${1:?usage: autotune_eval.sh /path/to/csdsbench}
@@ -20,16 +20,17 @@ BIN=${1:?usage: autotune_eval.sh /path/to/csdsbench}
 mixes="paper ycsb-a ycsb-b ycsb-c ycsb-d ycsb-e ycsb-f flash diurnal drift"
 hand_specs="list/lazy sharded(8,list/lazy) sharded(32,list/lazy) readcache(1024,sharded(32,list/lazy))"
 
-# mops <mix> [extra flags...] -> throughput of one cell, in Mops
-mops() {
+# cell <mix> [extra flags...] -> csdsbench's text report of one cell
+cell() {
     wl=$1
     shift
-    "$BIN" -workload "$wl" -threads 4 -size 2048 -dur 300ms -runs 2 -csv "$@" |
-        tail -n 1 | awk -F',' '
-            # alg may carry commas: the numeric columns are fixed from the
-            # right, so count from the end. mops is the 34th-from-last
-            # field (41 columns, mops is column 9).
-            { print $(NF-32) }'
+    "$BIN" -workload "$wl" -threads 4 -size 2048 -dur 300ms -runs 2 "$@"
+}
+
+# field <label> <report> -> second word of the report line starting with
+# <label> (the same way chaos_smoke.sh reads "fault hit frac")
+field() {
+    printf '%s\n' "$2" | awk -v label="$1" '$1 == label { print $2 }'
 }
 
 echo "auto-tuned vs hand-tuned, per named workload (Mops, higher is better)"
@@ -40,15 +41,16 @@ for mix in $mixes; do
     best=0
     echo "$mix:"
     for spec in $hand_specs; do
-        m=$(mops "$mix" -alg "$spec")
+        m=$(field throughput "$(cell "$mix" -alg "$spec")")
         echo "  hand  $spec: $m"
         if awk "BEGIN{exit !($m > $best)}"; then
             best=$m
             best_spec=$spec
         fi
     done
-    auto_spec=$("$BIN" -workload "$mix" -threads 4 -size 2048 -auto-spec -alg list/lazy -csv -dur 1ms -runs 1 | tail -n 1 | sed 's/,4,2048,.*//')
-    m=$(mops "$mix" -auto-spec -alg list/lazy)
+    report=$(cell "$mix" -auto-spec -alg list/lazy)
+    auto_spec=$(field algorithm "$report")
+    m=$(field throughput "$report")
     echo "  auto  $auto_spec: $m"
     # When the tuner derives the very spec that won the hand roster, the
     # two numbers are two samples of one configuration — identity, not a
