@@ -233,7 +233,12 @@ func NewBSTTK() Set { return mustNew("bst/tk", Options{}) }
 
 // NewSharded hash-partitions the key space over shards independent
 // instances of the inner specification (a registered name or a nested
-// composite). Errors report grammar or resolution problems in inner.
+// composite). The hash is of a key's aligned 64-key block, so
+// neighbouring keys share a shard: point operations spread like any
+// hash partition as soon as keys span more than a block, needing no
+// domain hint, and short scans and cursor pages visit a few shards in
+// key order instead of merging all of them. Errors report grammar or
+// resolution problems in inner.
 func NewSharded(shards int, inner string, o Options) (Set, error) {
 	return core.Build(fmt.Sprintf("sharded(%d,%s)", shards, inner), o)
 }
@@ -254,7 +259,8 @@ func NewReadCached(capacity int, inner string, o Options) (Set, error) {
 }
 
 // NewElastic hash-partitions the key space over width instances of the
-// inner specification, like NewSharded — but the returned set also
+// inner specification, with NewSharded's block-hashed routing (its
+// scans and pages still merge all shards) — but the returned set also
 // implements Resizable: its width can be grown or shrunk online
 // (s.(csds.Resizable).Resize(c, n)) while readers and writers keep
 // running, so a deployment can track load instead of overprovisioning.

@@ -58,7 +58,7 @@ func singlePart(off []int) (int, bool) {
 // ---------------------------------------------------------------------------
 
 func (s *Sharded) partOfKey(k core.Key) int {
-	return indexOf(mix64(uint64(k)), len(s.shards))
+	return route(k, len(s.shards))
 }
 
 // MultiGet implements core.Batcher: the batch is grouped by shard and
@@ -307,7 +307,7 @@ func (e *Elastic) multiGetOn(c *core.Ctx, p *epartition, keys []core.Key, vals [
 	defer sc.Release()
 	parts := len(p.shards)
 	idx, off := groupBatch(sc, len(keys), parts, func(i int) int {
-		return indexOf(mix64(uint64(keys[i])), parts)
+		return route(keys[i], parts)
 	})
 	sub := sc.Keys(len(keys))[:0]
 	var g []int
@@ -382,7 +382,7 @@ func (e *Elastic) multiWrite(c *core.Ctx, sc *core.BatchScratch, n int, keyAt fu
 		p := e.cur.Load()
 		parts := len(p.shards)
 		idx, off := groupBatch(sc, len(pending), parts, func(j int) int {
-			return indexOf(mix64(uint64(keyAt(pending[j]))), parts)
+			return route(keyAt(pending[j]), parts)
 		})
 		applied := sc.Bools(len(pending))
 		memberBuf := sc.Ints(len(pending))

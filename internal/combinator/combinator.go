@@ -53,7 +53,7 @@ func init() {
 			return NewSharded(arg, inner, o)
 		},
 		ArgDesc:  "shards",
-		Desc:     "hash-partitions keys over N independent inner instances",
+		Desc:     "hash-partitions keys, by aligned 64-key block, over N independent inner instances",
 		Validate: validateWidth("sharded"),
 	})
 	core.RegisterCombinator(core.Combinator{
@@ -113,6 +113,25 @@ func mix64(x uint64) uint64 {
 func indexOf(h uint64, n int) int {
 	hi, _ := bits.Mul64(h, uint64(n))
 	return int(hi)
+}
+
+// routeBlockBits sets the granularity of hash routing: keys are routed
+// by their aligned 2^routeBlockBits-key block, not one by one, so
+// neighbouring keys share a part and a short ordered window touches a
+// few parts in key order instead of all of them. One constant, not a
+// knob: 64 keys is the smallest block on the measured plateau — 16- and
+// 32-key blocks cost the ordered paths 19 % and 10 %, 64 to 256 read
+// the same (DESIGN "Block-hashed routing").
+const routeBlockBits = 6
+
+// route is the one spelling of hash routing: the part, of n, that owns
+// k's block. Every hash-partitioned path — point ops, batch groupers,
+// migration, the ordered walks — goes through it, so no two of them can
+// disagree about who owns a key. The logical shift of the two's-
+// complement bits floors negative keys like an arithmetic one: -64..-1
+// and 0..63 are two different blocks.
+func route(k core.Key, n int) int {
+	return indexOf(mix64(uint64(k)>>routeBlockBits), n)
 }
 
 // splitOptions derives the per-instance options for an n-way partition:

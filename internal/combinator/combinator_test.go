@@ -48,17 +48,18 @@ func TestCompositeSuitesMoreLeaves(t *testing.T) {
 
 // TestCompositeScanners runs the linearizable range-scan battery over
 // every combinator. Ordered follows the scan contract: striped preserves
-// inner order, sharded and elastic sort their merge, readcache inherits
-// the inner order — and since the hash tables grew their ordered key
-// index, every leaf in the module scans ascending, so every composite
-// does too.
+// inner order, sharded walks blocks in key order or sorts its merge,
+// elastic sorts its merge, readcache inherits the inner order — and
+// since the hash tables grew their ordered key index, every leaf in the
+// module scans ascending, so every composite does too.
 func TestCompositeScanners(t *testing.T) {
 	for _, tc := range []struct {
 		spec    string
 		ordered bool
 	}{
 		{"sharded(16,list/lazy)", true},
-		{"sharded(4,hashtable/lazy)", true}, // merge sort orders the hash leaves
+		{"sharded(4,hashtable/lazy)", true},    // merge sort orders the hash leaves
+		{"sharded(32,skiplist/herlihy)", true}, // the repo benchmark's range spec
 		{"striped(8,skiplist/herlihy)", true},
 		{"striped(4,hashtable/lazy)", true}, // indexed hash leaves scan ascending now
 		{"readcache(1024,bst/tk)", true},
@@ -95,6 +96,7 @@ func TestCompositeCursors(t *testing.T) {
 	for _, spec := range []string{
 		"sharded(16,list/lazy)",
 		"sharded(4,hashtable/lazy)",
+		"sharded(32,skiplist/herlihy)", // the repo benchmark's range spec
 		"striped(8,skiplist/herlihy)",
 		"striped(4,hashtable/lazy)",
 		"readcache(1024,bst/tk)",
@@ -241,8 +243,10 @@ func TestShardedRoutingAndLen(t *testing.T) {
 		t.Fatalf("Shards = %d", sh.Shards())
 	}
 	c := ctx()
-	const n = 1000
-	for k := core.Key(1); k <= n; k++ {
+	// The router hashes aligned 64-key blocks, so spread is a property of
+	// blocks: one key per block.
+	const n, stride = 1000, 1 << routeBlockBits
+	for k := core.Key(stride); k <= n*stride; k += stride {
 		if !s.Put(c, k, k) {
 			t.Fatalf("Put(%d) failed", k)
 		}
@@ -250,7 +254,7 @@ func TestShardedRoutingAndLen(t *testing.T) {
 	if s.Len() != n {
 		t.Fatalf("Len = %d, want %d", s.Len(), n)
 	}
-	// Hash partitioning must actually spread: with 1000 keys over 16
+	// Hash partitioning must actually spread: with 1000 blocks over 16
 	// shards no shard should be empty or hold more than a third.
 	for i, inner := range sh.shards {
 		l := inner.Len()
@@ -260,7 +264,7 @@ func TestShardedRoutingAndLen(t *testing.T) {
 	}
 	// Routing is deterministic: the shard that answers Get is the one
 	// that absorbed Put.
-	for k := core.Key(1); k <= n; k++ {
+	for k := core.Key(stride); k <= n*stride; k += stride {
 		if v, ok := sh.shard(k).Get(c, k); !ok || v != k {
 			t.Fatalf("key %d not in its own shard", k)
 		}
@@ -632,13 +636,17 @@ func TestSplitOptions(t *testing.T) {
 // not a domain derived from the outer layer's divided size hint (which
 // would clamp ~1-1/N of each shard's keys into its last stripe).
 func TestNestedStripedKeepsDomain(t *testing.T) {
-	s, err := core.Build("sharded(4,striped(8,list/lazy))", core.Options{ExpectedSize: 1024})
+	// The outer layer routes aligned 64-key blocks, so the domain is 64x
+	// the original 2048 keys and carries one key per block: every shard
+	// still receives keys from all over the domain.
+	const stride = 1 << routeBlockBits
+	s, err := core.Build("sharded(4,striped(8,list/lazy))", core.Options{ExpectedSize: 1024 * stride})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := ctx()
-	const span = 2048 // the paper's convention for ExpectedSize 1024
-	for k := core.Key(1); k <= span; k++ {
+	const span = 2048 * stride // the paper's convention: 2 * ExpectedSize
+	for k := core.Key(stride); k < span; k += stride {
 		if !s.Put(c, k, k) {
 			t.Fatalf("Put(%d) failed", k)
 		}

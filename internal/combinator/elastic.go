@@ -87,9 +87,11 @@ type eshard struct {
 	_       [32]byte
 }
 
-// route picks the shard for a key (same SplitMix64 routing as Sharded).
+// route picks the shard for a key: the package's one block-hashed
+// router, so point ops, the batch groupers and migration's re-route
+// agree with each other and with Sharded.
 func (p *epartition) route(k core.Key) *eshard {
-	return &p.shards[indexOf(mix64(uint64(k)), len(p.shards))]
+	return &p.shards[route(k, len(p.shards))]
 }
 
 // NewElastic builds an elastic composite with the given initial width.
@@ -216,7 +218,10 @@ func (e *Elastic) current(p *epartition, i int) bool {
 // re-check the staleness witness after each shard — a stale collection
 // is discarded before anything is delivered and the scan restarts on
 // the published map. A consistent pass sorts the disjoint union and
-// replays in ascending key order, exactly like Sharded.
+// replays in ascending key order, exactly like Sharded's wide-window
+// path. (Sharded's block walk delivers as it pulls; a stale-epoch abort
+// must have delivered nothing, so Elastic keeps the merge at every
+// window width.)
 //
 // Under pathological resize churn the optimistic pass could retry
 // forever, so after scanEpochRetries discarded epochs the scan takes
@@ -248,8 +253,9 @@ func (e *Elastic) Scan(c *core.Ctx, lo, hi core.Key, f func(k core.Key, v core.V
 	return finished
 }
 
-// CursorNext implements core.Cursor by lazy streaming merge under the
-// same old-then-new epoch discipline as Scan, at refill granularity:
+// CursorNext implements core.Cursor by lazy streaming merge (not
+// Sharded's block drain, for the reason given at Scan) under the same
+// old-then-new epoch discipline as Scan, at refill granularity:
 // the shards of the loaded map are pulled in small bounded chunks
 // (core.StreamMergeNext — each pull one atomic sub-snapshot of its
 // shard, the heap merge stopping exactly at the page budget instead of

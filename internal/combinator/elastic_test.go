@@ -47,8 +47,10 @@ func TestElasticGrowShrinkMovesKeys(t *testing.T) {
 	}
 	e := s.(*Elastic)
 	c := ctx()
-	const n = 1000
-	for k := core.Key(1); k <= n; k++ {
+	// One key per aligned 64-key block: the router hashes blocks, so
+	// that is the granularity hash spread is a property of.
+	const n, stride = 1000, 1 << routeBlockBits
+	for k := core.Key(stride); k <= n*stride; k += stride {
 		if !s.Put(c, k, k*3) {
 			t.Fatalf("Put(%d) failed", k)
 		}
@@ -61,7 +63,7 @@ func TestElasticGrowShrinkMovesKeys(t *testing.T) {
 		if l := s.Len(); l != n {
 			t.Fatalf("Len = %d after resize to %d, want %d", l, wantWidth, n)
 		}
-		for k := core.Key(1); k <= n; k++ {
+		for k := core.Key(stride); k <= n*stride; k += stride {
 			if v, ok := s.Get(c, k); !ok || v != k*3 {
 				t.Fatalf("after resize to %d: Get(%d) = (%d, %v)", wantWidth, k, v, ok)
 			}

@@ -24,7 +24,11 @@ func countKey(core.Key, core.Value) bool { visited++; return true }
 // leaf's guarded scan or page allocates nothing, and neither does the
 // composite merge above it — with and without an EBR record on the
 // context, because frames are pooled unconditionally. (Before the frame:
-// 6 objects per leaf pull, 190+ per sharded(32) page.)
+// 6 objects per leaf pull, 190+ per sharded(32) page.) The four calls are
+// chosen so sharded(32,·) takes each of its ordered paths: a page inside
+// the block drain, a page that exhausts the drain's pull cap on empty
+// blocks and finishes through the merge, a scan narrow enough for the
+// block walk, and one wide enough (> 32 blocks) for collect-and-merge.
 func TestFrameAllocs(t *testing.T) {
 	for _, spec := range []string{
 		"skiplist/herlihy",
@@ -46,11 +50,17 @@ func TestFrameAllocs(t *testing.T) {
 						pos = 0
 					}
 				})
+				tail := testing.AllocsPerRun(200, func() {
+					s.(core.Cursor).CursorNext(c, 2*frameKeys-24, core.KeyMax, 16, countKey)
+				})
 				scan := testing.AllocsPerRun(200, func() {
 					s.(core.Scanner).Scan(c, 100, 228, countKey)
 				})
-				if page != 0 || scan != 0 {
-					t.Fatalf("allocs per call: CursorNext %v, Scan %v; want 0", page, scan)
+				wide := testing.AllocsPerRun(200, func() {
+					s.(core.Scanner).Scan(c, -2*frameKeys, 4*frameKeys, countKey)
+				})
+				if page != 0 || tail != 0 || scan != 0 || wide != 0 {
+					t.Fatalf("allocs per call: CursorNext %v, give-up CursorNext %v, Scan %v, wide Scan %v; want 0", page, tail, scan, wide)
 				}
 				if visited == 0 {
 					t.Fatal("the measured calls visited nothing")

@@ -4,9 +4,18 @@ import "csds/internal/core"
 
 // Sharded hash-partitions the key space over n independent inner
 // instances. Every operation touches exactly one shard, chosen by a
-// SplitMix64 hash of the key, so shards share no mutable state and the
-// composite is linearizable whenever the inner structure is: each
-// operation's linearization point is its inner operation's.
+// SplitMix64 hash of the key's aligned 64-key block (route), so shards
+// share no mutable state and the composite is linearizable whenever the
+// inner structure is: each operation's linearization point is its inner
+// operation's.
+//
+// Hashing blocks rather than keys keeps the hash partition's two
+// properties — no domain hint needed, any key pattern wider than a block
+// spreads uniformly — and adds locality: a short ordered window lives on
+// a few shards, which Scan and CursorNext visit in key order instead of
+// merging all n. The paper's §6 birthday model is what makes this free:
+// with a handful of threads and tens of parts, conflicts are negligible
+// however keys are routed to parts.
 //
 // Sharding multiplies the paper's structures horizontally: n lazy lists of
 // size S/n serve like one list of size S but with 1/n the traversal length
@@ -35,7 +44,7 @@ func NewSharded(n int, inner func(core.Options) core.Set, o core.Options) *Shard
 
 // shard routes a key to its instance.
 func (s *Sharded) shard(k core.Key) core.Set {
-	return s.shards[indexOf(mix64(uint64(k)), len(s.shards))]
+	return s.shards[route(k, len(s.shards))]
 }
 
 // Get implements core.Set.
@@ -71,30 +80,72 @@ func (s *Sharded) Range(f func(k core.Key, v core.Value) bool) {
 	rangeParts(s.shards, f)
 }
 
-// Scan implements core.Scanner by collect-and-merge (core.MergeScan):
-// every shard contributes one atomic sub-snapshot through its own
-// linearizable scan, and the union — disjoint by construction, so
-// duplicate-free — replays in ascending key order after a sort. Each
-// key's reported state is its true state at the instant its shard was
-// scanned, inside the call window (segment = shard).
+// Scan implements core.Scanner. A window spanning no more blocks than
+// there are shards is walked: its blocks are visited in ascending order,
+// each through the owning shard's own linearizable scan clipped to the
+// block, delivering straight to f — ascending by construction, no merge,
+// no sort. A wider window touches every shard anyway and keeps
+// collect-and-merge (core.MergeScan): one sub-snapshot per shard, the
+// disjoint union sorted and replayed.
+//
+// Consistency is the same on both paths: every pull is one atomic
+// sub-snapshot of one shard taken inside the call, the pulled windows are
+// disjoint, so no key is visited twice and every reported presence or
+// absence was true at some instant inside the call (segment = block pull
+// on the walk, shard on the merge). The walk may pull one shard more
+// than once per call — at different instants, for different blocks.
 func (s *Sharded) Scan(c *core.Ctx, lo, hi core.Key, f func(k core.Key, v core.Value) bool) bool {
 	if lo >= hi {
 		return true
 	}
-	finished, _ := core.MergeScan(c, s.shards, lo, hi, nil, f)
-	return finished
+	// Arithmetic shifts, so negative keys floor to their block like route.
+	first, last := lo>>routeBlockBits, (hi-1)>>routeBlockBits
+	if last-first >= core.Key(len(s.shards)) {
+		finished, _ := core.MergeScan(c, s.shards, lo, hi, nil, f)
+		return finished
+	}
+	for b := first; b <= last; b++ {
+		blo, bhi := max(lo, b<<routeBlockBits), hi
+		if b < last {
+			bhi = (b + 1) << routeBlockBits
+		}
+		if !s.shard(blo).(core.Scanner).Scan(c, blo, bhi, f) {
+			return false
+		}
+	}
+	return true
 }
 
-// CursorNext implements core.Cursor by lazy k-way streaming merge over
-// the shards' own cursors (core.StreamMergeNext): each shard is pulled
-// in small refill chunks (~max/k keys, one atomic sub-snapshot per
-// pull) as the heap merge consumes its head, and delivery stops exactly
-// at the page budget — a page materializes about one page worth of
-// keys, not k pages (the k× overcollect of the old eager merge). A
-// single key position still resumes every shard, so tokens carry no
-// per-shard state; buffered overshoot is discarded and re-fetched by
-// position.
+// blockAt is the partition StreamDrainNext walks: the shard owning pos's
+// block and the block's end (the last block has no representable end;
+// KeyMax bounds every window).
+func (s *Sharded) blockAt(pos core.Key) (core.Cursor, core.Key) {
+	end := core.Key(core.KeyMax)
+	if last := pos | (1<<routeBlockBits - 1); last != core.KeyMax {
+		end = last + 1
+	}
+	return s.shard(pos).(core.Cursor), end
+}
+
+// CursorNext implements core.Cursor by draining blocks in key order from
+// pos (core.StreamDrainNext): each block is one bounded pull on its
+// owning shard's cursor, delivered straight to f, until the budget fills
+// — ⌈max/keys per block⌉+1 pulls on dense data, not one per shard. Empty
+// blocks cost a pull each, so after len(shards) pulls with budget still
+// unspent (sparse data under a huge hi) the same page finishes with the
+// lazy k-way merge over all shards (core.StreamMergeNext) from the
+// position reached: a page never costs more than twice the merge's
+// pulls.
+//
+// The consistency contract is Scan's: every pull is one atomic
+// sub-snapshot of one shard inside the call, windows are disjoint and
+// ascending, a shard may be pulled more than once. Tokens stay bare key
+// positions — no per-shard or per-block state crosses pages.
 func (s *Sharded) CursorNext(c *core.Ctx, pos, hi core.Key, max int, f func(k core.Key, v core.Value) bool) (core.Key, bool) {
-	next, done, _ := core.StreamMergeNext(c, s.shards, pos, hi, max, nil, f)
+	next, done, unspent := core.StreamDrainNext(c, s.blockAt, pos, hi, max, len(s.shards), f)
+	if unspent == 0 {
+		return next, done
+	}
+	next, done, _ = core.StreamMergeNext(c, s.shards, next, hi, unspent, nil, f)
 	return next, done
 }

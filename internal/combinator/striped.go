@@ -131,6 +131,18 @@ func (s *Striped) Scan(c *core.Ctx, lo, hi core.Key, f func(k core.Key, v core.V
 	return true
 }
 
+// stripeAt is the partition StreamDrainNext walks: the stripe owning
+// pos and the end of its key slice. The last stripe owns everything
+// above the domain as well (keys outside it clamp to the edge stripes).
+func (s *Striped) stripeAt(pos core.Key) (core.Cursor, core.Key) {
+	i := s.stripeIndex(pos)
+	end := core.Key(core.KeyMax)
+	if i < len(s.stripes)-1 {
+		end = core.Key(uint64(s.lo) + uint64(i+1)*s.per)
+	}
+	return s.stripes[i].(core.Cursor), end
+}
+
 // CursorNext implements core.Cursor by cross-stripe streaming drain
 // (core.StreamDrainNext) — the order-preserving payoff again: the token
 // position routes straight to its stripe, stripes before it are never
@@ -139,9 +151,6 @@ func (s *Striped) Scan(c *core.Ctx, lo, hi core.Key, f func(k core.Key, v core.V
 // sub-snapshot of its stripe, the concatenation is ascending because
 // the routing is monotone, and no merge or overshoot is needed.
 func (s *Striped) CursorNext(c *core.Ctx, pos, hi core.Key, max int, f func(k core.Key, v core.Value) bool) (core.Key, bool) {
-	if pos >= hi {
-		return hi, true
-	}
-	first, last := s.stripeIndex(pos), s.stripeIndex(hi-1)
-	return core.StreamDrainNext(c, s.stripes[first:last+1], pos, hi, max, f)
+	next, done, _ := core.StreamDrainNext(c, s.stripeAt, pos, hi, max, len(s.stripes), f)
+	return next, done
 }

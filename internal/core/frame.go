@@ -5,7 +5,7 @@
 // A collect needs a pair buffer and an emit callback that appends to it;
 // a merge additionally needs one pull stream per part, a heap over the
 // stream heads and a buffer per stream. All of it dies when the call
-// returns, and a sharded(32) page makes 33 such calls — built fresh each
+// returns, and a 32-way merge page makes 33 such calls — built fresh each
 // time, the closures and buffers were the dominant cost of the ordered
 // read path (166 allocs per operation on the repo benchmark's range
 // workload). A frame holds the lot, with its callbacks bound once when

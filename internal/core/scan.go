@@ -23,6 +23,14 @@
 // Partitioned composites (striped, sharded, elastic, bucketed hash
 // tables) scan part by part, so the barrier radius of a fallback is one
 // stripe/shard/bucket-table — a segment — never the whole composite.
+// What a composite scan or page promises is the same however it visits
+// its parts (stripe by stripe, block by block on a block-hashed
+// partition, or all parts merged): every pull is one atomic sub-snapshot
+// of one part taken inside the call, the pulled key windows are disjoint,
+// and so every reported presence or absence was true at some instant
+// inside the call and no key is visited twice. A block walk may pull one
+// part more than once per call — at different instants, for different
+// blocks.
 package core
 
 import (
@@ -41,14 +49,15 @@ import (
 // early when f returns false; it reports whether it reached the end of
 // the range (false = stopped by f). Every structure in this module scans
 // in ascending key order: the ordered structures natively, the
-// hash-partitioned composites by sorting their merge, and the hash
-// tables off their ordered key index (a sorted shadow maintained under
-// the same write brackets the scans validate against).
+// hash-partitioned composites by walking a narrow window's key blocks
+// in order or sorting a wide one's merge, and the hash tables off their
+// ordered key index (a sorted shadow maintained under the same write
+// brackets the scans validate against).
 //
 // Consistency: on a single structure instance the visited mappings are
 // one atomic snapshot of the range — the scan linearizes at a single
-// point during the call. Partitioned composites scan their parts in
-// sequence with one atomic snapshot per part, so every reported presence
+// point during the call. Partitioned composites pull their parts in
+// sequence with one atomic snapshot per pull, so every reported presence
 // or absence is the key's true state at some instant inside the call
 // (per-key window consistency), parts never disagree about the same key
 // (the partitions are disjoint), and no key is visited twice.

@@ -1,6 +1,7 @@
 // Streaming pull layer of the cursor machinery: pageStream (a bounded
 // per-source pull buffer over any Cursor) and the composite merges built
-// on it — the lazy k-way page merge, the ordered drain, and the one-shot
+// on it — the lazy k-way page merge, the ordered drain (stripes of a
+// range partition, key blocks of a block-hashed one), and the one-shot
 // collect-and-sort scan.
 //
 // PR 4's composite cursors collected eagerly: every part contributed its
@@ -10,7 +11,7 @@
 // the dataflow: each part gets a pull stream that fetches small refill
 // chunks (~max/k keys, floored at streamMinChunk) on demand, and a heap
 // merge consumes stream heads lazily, stopping exactly at the page
-// budget. A sharded(32) page now materializes about one page worth of
+// budget. A 32-way merge page now materializes about one page worth of
 // keys instead of 32, and the refill counters (stats.Thread.PagePulls /
 // PagePullKeys) make the difference measurable. Streams, heap and
 // buffers all live in the call's pooled page frame (frame.go), so a
@@ -240,37 +241,55 @@ func MergeScan(c *Ctx, parts []Set, lo, hi Key, afterPart func(part int) bool, f
 	return finished, false
 }
 
-// StreamDrainNext pages an ordered disjoint partition — parts[i]'s keys
-// all precede parts[i+1]'s (a range partition, e.g. the overlapping
-// stripes of a striped composite) — by draining parts in order through
-// one bounded pull stream: no merge, no overshoot, and parts beyond the
-// one where the budget fills are never touched. The concatenation is
-// ascending whenever the parts' own cursors are.
-func StreamDrainNext(c *Ctx, parts []Set, pos, hi Key, max int, f func(k Key, v Value) bool) (next Key, done bool) {
+// StreamDrainNext pages a partition that can be walked in key order —
+// the stripes of a range partition, the aligned key blocks of a
+// block-hashed one — by draining its parts in that order through one
+// bounded pull stream: no merge, no overshoot, and parts beyond the one
+// where the budget fills are never touched. part names the partition: for
+// a position it returns the cursor of the part owning that key and the
+// exclusive end (> pos; clipped to hi here) of the contiguous key window
+// that part owns around it. Each part visited is one pull, one atomic
+// sub-snapshot of [pos, end) on its source; the concatenation is
+// ascending whenever the parts' own cursors are. One source may own many
+// windows and is then pulled once per window, at different instants.
+//
+// The drain gives up after pulls parts: with budget left and the window
+// not exhausted it returns the position reached, done == false and the
+// unspent budget (> 0), so a caller whose windows may all be empty
+// (sparse data under a huge hi) can finish the same page another way. In
+// every other outcome — page full, window exhausted, f stopped the
+// delivery — unspent is 0 and (next, done) are final.
+func StreamDrainNext(c *Ctx, part func(pos Key) (src Cursor, end Key), pos, hi Key, max, pulls int, f func(k Key, v Value) bool) (next Key, done bool, unspent int) {
 	if pos >= hi {
-		return hi, true
+		return hi, true, 0
 	}
 	remaining := clampPageMax(max)
 	fr := getFrame()
 	defer fr.release()
-	for i, p := range parts {
-		fr.open(c, hi, 1, remaining)
-		s := fr.stream(0, p.(Cursor), pos)
+	for ; pulls > 0 && pos < hi; pulls-- {
+		src, end := part(pos)
+		end = min(end, hi)
+		fr.open(c, end, 1, remaining)
+		s := fr.stream(0, src, pos)
 		for fr.refill(s) {
 			pair, _ := s.Pop()
 			if !f(pair.K, pair.V) {
-				return pair.K + 1, false
+				return pair.K + 1, false, 0
 			}
 			remaining--
 			if remaining == 0 {
-				if s.Drained() && i == len(parts)-1 {
-					// Budget filled exactly at the end of the last part.
-					return hi, true
+				if s.Drained() && end == hi {
+					// Budget filled exactly at the end of the window.
+					return hi, true, 0
 				}
 				// Later parts (or this one) may still hold keys.
-				return pair.K + 1, false
+				return pair.K + 1, false, 0
 			}
 		}
+		pos = end
 	}
-	return hi, true
+	if pos >= hi {
+		return hi, true, 0
+	}
+	return pos, false, remaining
 }

@@ -193,22 +193,24 @@ func TestStreamMergeAbort(t *testing.T) {
 func TestStreamDrainSequential(t *testing.T) {
 	// Range partition: part i owns [i*100, (i+1)*100).
 	parts := make([]*countingSet, 5)
-	sets := make([]Set, 5)
 	for i := range parts {
 		parts[i] = &countingSet{sliceSet: &sliceSet{}}
 		for k := Key(i * 100); k < Key((i+1)*100); k += 2 {
 			parts[i].keys = append(parts[i].keys, k)
 		}
-		sets[i] = parts[i]
 	}
+	hundreds := func(pos Key) (Cursor, Key) { return parts[pos/100], (pos/100 + 1) * 100 }
 	c := NewCtx(0)
 	var got []Key
 	pos := Key(0)
 	for {
-		next, done := StreamDrainNext(c, sets, pos, 500, 37, func(k Key, v Value) bool {
+		next, done, unspent := StreamDrainNext(c, hundreds, pos, 500, 37, len(parts), func(k Key, v Value) bool {
 			got = append(got, k)
 			return true
 		})
+		if unspent != 0 {
+			t.Fatalf("page from %d left %d of its budget unspent under a pull cap it cannot reach", pos, unspent)
+		}
 		if done {
 			break
 		}
@@ -228,13 +230,39 @@ func TestStreamDrainSequential(t *testing.T) {
 	}
 	// Ten even keys 0..18 fill the budget; the resume position is one
 	// past the last delivered key.
-	if next, done := StreamDrainNext(c, sets, 0, 500, 10, func(Key, Value) bool { return true }); done || next != 19 {
-		t.Fatalf("bounded drain returned next=%d done=%v, want 19 false", next, done)
+	all := func(Key, Value) bool { return true }
+	if next, done, unspent := StreamDrainNext(c, hundreds, 0, 500, 10, len(parts), all); done || next != 19 || unspent != 0 {
+		t.Fatalf("bounded drain returned next=%d done=%v unspent=%d, want 19 false 0", next, done, unspent)
 	}
 	for i, p := range parts[1:] {
 		if p.pulls != 0 {
 			t.Fatalf("part %d pulled %d times on a page confined to part 0", i+1, p.pulls)
 		}
+	}
+	// The pull cap: two parts hold 100 keys, so a 130-key page capped at
+	// two pulls gives up at the third part's start with 30 unspent — and
+	// says so, instead of claiming a full or exhausted page.
+	for _, p := range parts {
+		p.pulls = 0
+	}
+	if next, done, unspent := StreamDrainNext(c, hundreds, 0, 500, 130, 2, all); done || next != 200 || unspent != 30 {
+		t.Fatalf("capped drain returned next=%d done=%v unspent=%d, want 200 false 30", next, done, unspent)
+	}
+	if parts[0].pulls != 1 || parts[1].pulls != 1 || parts[2].pulls != 0 {
+		t.Fatalf("capped drain pulled parts %d/%d/%d times, want 1/1/0", parts[0].pulls, parts[1].pulls, parts[2].pulls)
+	}
+	// A budget filling exactly on a part's last key is exhausted only
+	// when that part ends the window.
+	if next, done, _ := StreamDrainNext(c, hundreds, 0, 500, 50, len(parts), all); done || next != 99 {
+		t.Fatalf("page filling at a part's end returned next=%d done=%v, want 99 false", next, done)
+	}
+	if next, done, _ := StreamDrainNext(c, hundreds, 400, 500, 50, len(parts), all); !done || next != 500 {
+		t.Fatalf("page filling at the window's end returned next=%d done=%v, want 500 true", next, done)
+	}
+	// An early stop resumes one past the key that stopped it.
+	n := 0
+	if next, done, unspent := StreamDrainNext(c, hundreds, 90, 500, 50, len(parts), func(Key, Value) bool { n++; return n < 7 }); done || next != 103 || unspent != 0 {
+		t.Fatalf("stopped drain returned next=%d done=%v unspent=%d, want 103 false 0", next, done, unspent)
 	}
 }
 
@@ -252,7 +280,8 @@ func TestPageStreamDefensive(t *testing.T) {
 	if !done || next != 100 {
 		t.Fatalf("merge over a liar source returned next=%d done=%v", next, done)
 	}
-	if next, done := StreamDrainNext(NewCtx(0), []Set{&emptyLiar{}}, 0, 100, 8, all); !done || next != 100 {
+	liar := func(Key) (Cursor, Key) { return &emptyLiar{}, 100 }
+	if next, done, _ := StreamDrainNext(NewCtx(0), liar, 0, 100, 8, 1, all); !done || next != 100 {
 		t.Fatalf("drain over a liar source returned next=%d done=%v", next, done)
 	}
 }

@@ -21,10 +21,13 @@
 //     no shard whose expected parse phase still dwarfs the fixed
 //     per-operation overhead (linear-traversal leaves keep gaining from
 //     shorter lists long after conflicts stop mattering). The traversal
-//     term only applies to point-dominated mixes: a range op visits
-//     every shard and pays the merge fan-in wider partitions create, so
+//     term only applies to point-dominated mixes: a range op wider than
+//     width 64-key blocks visits every shard and pays the merge fan-in
+//     wider partitions create (narrower ones pull ⌈window/64⌉+1 shards
+//     in key order, whatever the width — block-hashed routing), so
 //     scan-heavy workloads keep the width the conflict term alone
-//     demands;
+//     demands. The gate predates block-hashed routing and is kept as it
+//     is pending ROADMAP 3b's re-measurement;
 //   - cache capacity: the smallest slot table whose hottest-rank Zipf
 //     mass reaches HitMassTarget, quadrupled for direct-map collision
 //     slack — emitted only when the mix is skewed, read-heavy,
@@ -63,7 +66,7 @@ const (
 
 // minShardSize floors the per-shard element count: below this, a shard
 // is mostly fixed overhead and further splitting buys nothing but
-// memory and merge fan-in.
+// memory and, for windows wider than width blocks, merge fan-in.
 const minShardSize = 64
 
 // refHopNs is the nominal single-threaded pointer-hop latency used for
@@ -181,10 +184,14 @@ func Derive(in Inputs) (Derived, error) {
 	// above the size floor — linear structures (lists) keep gaining
 	// here long after conflicts are negligible; logarithmic and
 	// constant-hop leaves stop immediately. The term only applies when
-	// point operations dominate: a scan or cursor visits every shard
-	// and pays the k-way merge fan-in that wider partitions create, so
-	// widening a scan-heavy mix trades a per-shard parse it rarely runs
-	// for a merge it always runs.
+	// point operations dominate: a scan or cursor page wider than width
+	// 64-key blocks visits every shard and pays the k-way merge fan-in
+	// that wider partitions create, so widening a scan-heavy mix of
+	// such windows trades a per-shard parse it rarely runs for a merge
+	// it always runs. Narrower windows no longer merge — Sharded walks
+	// them block by block, ⌈window/64⌉+1 pulls at any width — so for
+	// short-scan mixes the gate is now conservative; it is kept as is
+	// pending ROADMAP 3b's re-measurement.
 	pointFrac := 1 - wl.ScanRatio - wl.CursorRatio - wl.BatchRatio
 	if pointFrac < 0 {
 		pointFrac = 0
@@ -215,7 +222,7 @@ func Derive(in Inputs) (Derived, error) {
 		d.Width, wConf, wTrav, d.Conflict, target, in.Threads, in.Size/d.Width))
 	if pointFrac < 0.5 {
 		d.Notes = append(d.Notes, fmt.Sprintf(
-			"traversal term skipped: only %.2g of ops are point operations, and range ops pay the merge fan-in wider partitions create", pointFrac))
+			"traversal term skipped: only %.2g of ops are point operations, and range ops wider than width 64-key blocks pay the merge fan-in wider partitions create (gate kept pending re-measurement for narrower ones)", pointFrac))
 	}
 
 	// Cache capacity, gated five ways: the mix must be read-heavy

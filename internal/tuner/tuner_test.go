@@ -104,9 +104,10 @@ func TestDeriveCacheGates(t *testing.T) {
 }
 
 // TestDeriveScanHeavyStaysNarrow: when range ops dominate, the
-// traversal term is suppressed — a scan visits every shard and pays the
-// merge fan-in, so width comes from the conflict term alone (ycsb-e on
-// a low-contention machine keeps the bare leaf).
+// traversal term is suppressed — a scan wider than width blocks visits
+// every shard and pays the merge fan-in — so width comes from the
+// conflict term alone (ycsb-e on a low-contention machine keeps the
+// bare leaf).
 func TestDeriveScanHeavyStaysNarrow(t *testing.T) {
 	cfg, err := workload.ParseMix("ycsb-e")
 	if err != nil {
