@@ -3,10 +3,16 @@
 // by shard/stripe once, and each destination boundary is crossed once
 // per batch — one routing pass, one shard-map/epoch load, one lock
 // epoch per shard — instead of once per key. Results are buffered and
-// replayed in caller order.
+// replayed in caller order. The exception is a sharded composite over a
+// core.PartBatcher leaf: there every key is routed to its shard and the
+// whole batch goes down in one call, which the leaf serves across all
+// shards at once and answers in caller order itself.
 package combinator
 
 import (
+	"slices"
+	"sync"
+
 	"csds/internal/core"
 	"csds/internal/htm"
 	"csds/internal/locks"
@@ -53,57 +59,178 @@ func singlePart(off []int) (int, bool) {
 	return 0, false
 }
 
+// sink gathers inner batch results into caller-order slots: inner
+// element j is caller element idx[j], or j itself when idx is nil. Its
+// callbacks are bound once, when the pooled sink is made. A closure
+// built per call would escape through the inner Batcher and cost an
+// allocation per batch, the reason core's page frames bind theirs once.
+type sink struct {
+	idx  []int
+	vals []core.Value
+	oks  []bool
+	get  func(j int, v core.Value, ok bool)
+	put  func(j int, ok bool)
+}
+
+var sinkPool = sync.Pool{New: func() any {
+	sk := new(sink)
+	sk.get = func(j int, v core.Value, ok bool) {
+		if sk.idx != nil {
+			j = sk.idx[j]
+		}
+		sk.vals[j], sk.oks[j] = v, ok
+	}
+	sk.put = func(j int, ok bool) {
+		if sk.idx != nil {
+			j = sk.idx[j]
+		}
+		sk.oks[j] = ok
+	}
+	return sk
+}}
+
+// getSink takes a pooled sink whose n result slots are carved from sc.
+func getSink(sc *core.BatchScratch, n int) *sink {
+	sk := sinkPool.Get().(*sink)
+	sk.vals, sk.oks = sc.Vals(n), sc.Bools(n)
+	return sk
+}
+
+// release drops the sink's views of the caller's buffers and pools it.
+func (sk *sink) release() {
+	sk.idx, sk.vals, sk.oks = nil, nil, nil
+	sinkPool.Put(sk)
+}
+
+// perPartGet serves a grouped MultiGet with one inner MultiGet per part
+// that received keys, results into sk.
+func perPartGet(c *core.Ctx, sc *core.BatchScratch, sk *sink, parts []core.Set, idx, off []int, keys []core.Key) {
+	sub := sc.Keys(len(keys))
+	for p, set := range parts {
+		if off[p] == off[p+1] {
+			continue
+		}
+		sk.idx = idx[off[p]:off[p+1]]
+		for j, i := range sk.idx {
+			sub[j] = keys[i]
+		}
+		core.AsBatcher(set).MultiGet(c, sub[:len(sk.idx)], sk.get)
+	}
+}
+
+// perPartPut is perPartGet for MultiPut.
+func perPartPut(c *core.Ctx, sc *core.BatchScratch, sk *sink, parts []core.Set, idx, off []int, pairs []core.KV) {
+	sub := sc.KVs(len(pairs))
+	for p, set := range parts {
+		if off[p] == off[p+1] {
+			continue
+		}
+		sk.idx = idx[off[p]:off[p+1]]
+		for j, i := range sk.idx {
+			sub[j] = pairs[i]
+		}
+		core.AsBatcher(set).MultiPut(c, sub[:len(sk.idx)], sk.put)
+	}
+}
+
+// perPartRemove is perPartGet for MultiRemove.
+func perPartRemove(c *core.Ctx, sc *core.BatchScratch, sk *sink, parts []core.Set, idx, off []int, keys []core.Key) {
+	sub := sc.Keys(len(keys))
+	for p, set := range parts {
+		if off[p] == off[p+1] {
+			continue
+		}
+		sk.idx = idx[off[p]:off[p+1]]
+		for j, i := range sk.idx {
+			sub[j] = keys[i]
+		}
+		core.AsBatcher(set).MultiRemove(c, sub[:len(sk.idx)], sk.put)
+	}
+}
+
+// replayGets delivers gathered MultiGet results in caller order.
+func replayGets(vals []core.Value, oks []bool, f func(i int, v core.Value, ok bool)) {
+	for i, ok := range oks {
+		f(i, vals[i], ok)
+	}
+}
+
+// replayBools delivers gathered write outcomes in caller order.
+func replayBools(res []bool, f func(i int, ok bool)) {
+	for i, ok := range res {
+		f(i, ok)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Sharded
 // ---------------------------------------------------------------------------
 
-func (s *Sharded) partOfKey(k core.Key) int {
-	return route(k, len(s.shards))
+// shardedBatch is a batch routed over a Sharded's shards. When the
+// shards implement core.PartBatcher, pb is set and parts[i] is element
+// i's shard; otherwise idx and off group the batch by shard
+// (groupBatch). one is the shard that received every element, or -1.
+type shardedBatch struct {
+	pb       core.PartBatcher
+	parts    []core.Set
+	idx, off []int
+	one      int
 }
 
-// MultiGet implements core.Batcher: the batch is grouped by shard and
-// each shard serves its sub-batch through one inner MultiGet — one
-// shard crossing per shard per batch. Results replay in caller order.
+// routeBatch routes an n-element batch, element i keyed by key(i).
+func (s *Sharded) routeBatch(sc *core.BatchScratch, n int, key func(i int) core.Key) shardedBatch {
+	w := len(s.shards)
+	if pb, ok := s.shards[0].(core.PartBatcher); ok {
+		b := shardedBatch{pb: pb, parts: sc.Sets(n), one: route(key(0), w)}
+		for i := range b.parts {
+			p := route(key(i), w)
+			if p != b.one {
+				b.one = -1
+			}
+			b.parts[i] = s.shards[p]
+		}
+		return b
+	}
+	b := shardedBatch{one: -1}
+	b.idx, b.off = groupBatch(sc, n, w, func(i int) int { return route(key(i), w) })
+	if p, ok := singlePart(b.off); ok {
+		b.one = p
+	}
+	return b
+}
+
+// MultiGet implements core.Batcher. Over PartBatcher shards the routed
+// batch is one MultiGetIn call, delivered straight to f. Over other
+// shards a batch whose keys all live in one shard is that shard's
+// MultiGet, and any other is grouped, one inner MultiGet per shard
+// touched, and replayed in caller order.
 func (s *Sharded) MultiGet(c *core.Ctx, keys []core.Key, f func(i int, v core.Value, ok bool)) {
 	n := len(keys)
 	if n == 0 {
 		return
 	}
-	if len(s.shards) == 1 {
-		core.AsBatcher(s.shards[0]).MultiGet(c, keys, f)
-		return
-	}
 	sc := core.GetBatchScratch()
 	defer sc.Release()
-	idx, off := groupBatch(sc, n, len(s.shards), func(i int) int { return s.partOfKey(keys[i]) })
-	vals := sc.Vals(n)
-	oks := sc.Bools(n)
-	sub := sc.Keys(n)[:0]
-	var g []int
-	cb := func(j int, v core.Value, ok bool) { vals[g[j]], oks[g[j]] = v, ok }
-	for p := range s.shards {
-		lo, hi := off[p], off[p+1]
-		if lo == hi {
-			continue
-		}
-		g = idx[lo:hi]
-		sub = sub[:0]
-		for _, i := range g {
-			sub = append(sub, keys[i])
-		}
-		core.AsBatcher(s.shards[p]).MultiGet(c, sub, cb)
-	}
-	for i := 0; i < n; i++ {
-		f(i, vals[i], oks[i])
+	b := s.routeBatch(sc, n, func(i int) core.Key { return keys[i] })
+	switch {
+	case b.pb != nil:
+		b.pb.MultiGetIn(c, b.parts, keys, f)
+	case b.one >= 0:
+		core.AsBatcher(s.shards[b.one]).MultiGet(c, keys, f)
+	default:
+		sk := getSink(sc, n)
+		defer sk.release()
+		perPartGet(c, sc, sk, s.shards, b.idx, b.off, keys)
+		replayGets(sk.vals, sk.oks, f)
 	}
 }
 
-// MultiPut implements core.Batcher. A batch that spans shards is
-// grouped and applied per shard like MultiGet; a write batch whose
-// keys all land in ONE shard is the contended hot-spot case and goes
-// through the shard's flat-combining point instead, so colliding
-// batches from many threads are applied by one winner in one inner
-// bracket (see core.Combiner).
+// MultiPut implements core.Batcher. A write batch whose keys all land in
+// ONE shard is the contended hot-spot case and goes through the shard's
+// flat-combining point, so colliding batches from many threads are
+// applied by one winner in one inner bracket (see core.Combiner). A
+// batch that spans shards is routed like MultiGet: one MultiPutIn call
+// over PartBatcher shards, per-shard sub-batches otherwise.
 func (s *Sharded) MultiPut(c *core.Ctx, pairs []core.KV, f func(i int, inserted bool)) {
 	n := len(pairs)
 	if n == 0 {
@@ -111,37 +238,27 @@ func (s *Sharded) MultiPut(c *core.Ctx, pairs []core.KV, f func(i int, inserted 
 	}
 	sc := core.GetBatchScratch()
 	defer sc.Release()
-	res := sc.Bools(n)
-	idx, off := groupBatch(sc, n, len(s.shards), func(i int) int { return s.partOfKey(pairs[i].K) })
-	if p, one := singlePart(off); one {
+	b := s.routeBatch(sc, n, func(i int) core.Key { return pairs[i].K })
+	switch {
+	case b.one >= 0:
 		// res may travel through the publication list, but the combiner
 		// hands it back exclusively once done is set, so Run's return
 		// makes the scratch-carved slice safe to recycle.
-		s.combiners[p].Run(c, core.BatchPut, pairs, res, s.applyCombined(p))
-	} else {
-		sub := sc.KVs(n)[:0]
-		var g []int
-		cb := func(j int, ok bool) { res[g[j]] = ok }
-		for p := range s.shards {
-			lo, hi := off[p], off[p+1]
-			if lo == hi {
-				continue
-			}
-			g = idx[lo:hi]
-			sub = sub[:0]
-			for _, i := range g {
-				sub = append(sub, pairs[i])
-			}
-			core.AsBatcher(s.shards[p]).MultiPut(c, sub, cb)
-		}
-	}
-	for i := range res {
-		f(i, res[i])
+		res := sc.Bools(n)
+		s.combiners[b.one].Run(c, core.BatchPut, pairs, res, s.applyCombined(b.one))
+		replayBools(res, f)
+	case b.pb != nil:
+		b.pb.MultiPutIn(c, b.parts, pairs, f)
+	default:
+		sk := getSink(sc, n)
+		defer sk.release()
+		perPartPut(c, sc, sk, s.shards, b.idx, b.off, pairs)
+		replayBools(sk.oks, f)
 	}
 }
 
-// MultiRemove implements core.Batcher with the same grouping and
-// single-shard flat-combining path as MultiPut.
+// MultiRemove implements core.Batcher with MultiPut's routing and
+// single-shard flat-combining path.
 func (s *Sharded) MultiRemove(c *core.Ctx, keys []core.Key, f func(i int, removed bool)) {
 	n := len(keys)
 	if n == 0 {
@@ -149,33 +266,23 @@ func (s *Sharded) MultiRemove(c *core.Ctx, keys []core.Key, f func(i int, remove
 	}
 	sc := core.GetBatchScratch()
 	defer sc.Release()
-	res := sc.Bools(n)
-	idx, off := groupBatch(sc, n, len(s.shards), func(i int) int { return s.partOfKey(keys[i]) })
-	if p, one := singlePart(off); one {
+	b := s.routeBatch(sc, n, func(i int) core.Key { return keys[i] })
+	switch {
+	case b.one >= 0:
 		kv := sc.KVs(n)
 		for i, k := range keys {
 			kv[i] = core.KV{K: k}
 		}
-		s.combiners[p].Run(c, core.BatchRemove, kv, res, s.applyCombined(p))
-	} else {
-		sub := sc.Keys(n)[:0]
-		var g []int
-		cb := func(j int, ok bool) { res[g[j]] = ok }
-		for p := range s.shards {
-			lo, hi := off[p], off[p+1]
-			if lo == hi {
-				continue
-			}
-			g = idx[lo:hi]
-			sub = sub[:0]
-			for _, i := range g {
-				sub = append(sub, keys[i])
-			}
-			core.AsBatcher(s.shards[p]).MultiRemove(c, sub, cb)
-		}
-	}
-	for i := range res {
-		f(i, res[i])
+		res := sc.Bools(n)
+		s.combiners[b.one].Run(c, core.BatchRemove, kv, res, s.applyCombined(b.one))
+		replayBools(res, f)
+	case b.pb != nil:
+		b.pb.MultiRemoveIn(c, b.parts, keys, f)
+	default:
+		sk := getSink(sc, n)
+		defer sk.release()
+		perPartRemove(c, sc, sk, s.shards, b.idx, b.off, keys)
+		replayBools(sk.oks, f)
 	}
 }
 
@@ -184,16 +291,21 @@ func (s *Sharded) MultiRemove(c *core.Ctx, keys []core.Key, f func(i int, remove
 // threads' batches).
 func (s *Sharded) applyCombined(p int) core.CombineApply {
 	return func(c *core.Ctx, op core.BatchOp, pairs []core.KV, res []bool) {
+		sc := core.GetBatchScratch()
+		defer sc.Release()
+		sk := sinkPool.Get().(*sink)
+		defer sk.release()
+		sk.oks = res
 		b := core.AsBatcher(s.shards[p])
 		if op == core.BatchPut {
-			b.MultiPut(c, pairs, func(j int, ok bool) { res[j] = ok })
+			b.MultiPut(c, pairs, sk.put)
 			return
 		}
-		keys := make([]core.Key, len(pairs))
+		keys := sc.Keys(len(pairs))
 		for j, kv := range pairs {
 			keys[j] = kv.K
 		}
-		b.MultiRemove(c, keys, func(j int, ok bool) { res[j] = ok })
+		b.MultiRemove(c, keys, sk.put)
 	}
 }
 
@@ -212,26 +324,10 @@ func (s *Striped) MultiGet(c *core.Ctx, keys []core.Key, f func(i int, v core.Va
 	sc := core.GetBatchScratch()
 	defer sc.Release()
 	idx, off := groupBatch(sc, n, len(s.stripes), func(i int) int { return s.stripeIndex(keys[i]) })
-	vals := sc.Vals(n)
-	oks := sc.Bools(n)
-	sub := sc.Keys(n)[:0]
-	var g []int
-	cb := func(j int, v core.Value, ok bool) { vals[g[j]], oks[g[j]] = v, ok }
-	for p := range s.stripes {
-		lo, hi := off[p], off[p+1]
-		if lo == hi {
-			continue
-		}
-		g = idx[lo:hi]
-		sub = sub[:0]
-		for _, i := range g {
-			sub = append(sub, keys[i])
-		}
-		core.AsBatcher(s.stripes[p]).MultiGet(c, sub, cb)
-	}
-	for i := 0; i < n; i++ {
-		f(i, vals[i], oks[i])
-	}
+	sk := getSink(sc, n)
+	defer sk.release()
+	perPartGet(c, sc, sk, s.stripes, idx, off, keys)
+	replayGets(sk.vals, sk.oks, f)
 }
 
 // MultiPut implements core.Batcher, grouped by stripe.
@@ -243,25 +339,10 @@ func (s *Striped) MultiPut(c *core.Ctx, pairs []core.KV, f func(i int, inserted 
 	sc := core.GetBatchScratch()
 	defer sc.Release()
 	idx, off := groupBatch(sc, n, len(s.stripes), func(i int) int { return s.stripeIndex(pairs[i].K) })
-	res := sc.Bools(n)
-	sub := sc.KVs(n)[:0]
-	var g []int
-	cb := func(j int, ok bool) { res[g[j]] = ok }
-	for p := range s.stripes {
-		lo, hi := off[p], off[p+1]
-		if lo == hi {
-			continue
-		}
-		g = idx[lo:hi]
-		sub = sub[:0]
-		for _, i := range g {
-			sub = append(sub, pairs[i])
-		}
-		core.AsBatcher(s.stripes[p]).MultiPut(c, sub, cb)
-	}
-	for i := range res {
-		f(i, res[i])
-	}
+	sk := getSink(sc, n)
+	defer sk.release()
+	perPartPut(c, sc, sk, s.stripes, idx, off, pairs)
+	replayBools(sk.oks, f)
 }
 
 // MultiRemove implements core.Batcher, grouped by stripe.
@@ -273,25 +354,10 @@ func (s *Striped) MultiRemove(c *core.Ctx, keys []core.Key, f func(i int, remove
 	sc := core.GetBatchScratch()
 	defer sc.Release()
 	idx, off := groupBatch(sc, n, len(s.stripes), func(i int) int { return s.stripeIndex(keys[i]) })
-	res := sc.Bools(n)
-	sub := sc.Keys(n)[:0]
-	var g []int
-	cb := func(j int, ok bool) { res[g[j]] = ok }
-	for p := range s.stripes {
-		lo, hi := off[p], off[p+1]
-		if lo == hi {
-			continue
-		}
-		g = idx[lo:hi]
-		sub = sub[:0]
-		for _, i := range g {
-			sub = append(sub, keys[i])
-		}
-		core.AsBatcher(s.stripes[p]).MultiRemove(c, sub, cb)
-	}
-	for i := range res {
-		f(i, res[i])
-	}
+	sk := getSink(sc, n)
+	defer sk.release()
+	perPartRemove(c, sc, sk, s.stripes, idx, off, keys)
+	replayBools(sk.oks, f)
 }
 
 // ---------------------------------------------------------------------------
@@ -560,7 +626,7 @@ func (r *ReadCache) MultiPut(c *core.Ctx, pairs []core.KV, f func(i int, inserte
 	sc := core.GetBatchScratch()
 	defer sc.Release()
 	res := sc.Bools(n)
-	if r.tryBatchUpdate(c, core.BatchPut, pairs, res) {
+	if r.tryBatchUpdate(c, sc, core.BatchPut, pairs, res) {
 		for i := range res {
 			f(i, res[i])
 		}
@@ -584,7 +650,7 @@ func (r *ReadCache) MultiRemove(c *core.Ctx, keys []core.Key, f func(i int, remo
 		pairs[i] = core.KV{K: k}
 	}
 	res := sc.Bools(n)
-	if r.tryBatchUpdate(c, core.BatchRemove, pairs, res) {
+	if r.tryBatchUpdate(c, sc, core.BatchRemove, pairs, res) {
 		for i := range res {
 			f(i, res[i])
 		}
@@ -603,36 +669,31 @@ func (r *ReadCache) MultiRemove(c *core.Ctx, keys []core.Key, f func(i int, remo
 // Reports whether it committed; on abort (slot contention, emulated
 // capacity, injected interrupt) the caller falls back to the per-key
 // locked loop.
-func (r *ReadCache) tryBatchUpdate(c *core.Ctx, op core.BatchOp, pairs []core.KV, res []bool) bool {
-	slots := make([]*rcSlot, 0, len(pairs))
+func (r *ReadCache) tryBatchUpdate(c *core.Ctx, sc *core.BatchScratch, op core.BatchOp, pairs []core.KV, res []bool) bool {
+	slots := sc.Ints(len(pairs))[:0]
 	for _, kv := range pairs {
-		sl := r.slot(kv.K)
-		dup := false
-		for _, have := range slots {
-			if have == sl {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			slots = append(slots, sl)
+		if i := r.slotIndex(kv.K); !slices.Contains(slots, i) {
+			slots = append(slots, i)
 		}
 	}
+	sk := sinkPool.Get().(*sink)
+	defer sk.release()
+	sk.oks = res
 	var d *htm.Doom
 	if c != nil {
 		d = c.Doom
 	}
 	return htm.Try(c.Stat(), d, func(a *htm.Acq) htm.Status {
-		for _, sl := range slots {
-			if !a.Lock(&sl.mu) {
+		for _, i := range slots {
+			if !a.Lock(&r.slots[i].mu) {
 				return a.AbortStatus()
 			}
 		}
 		if !a.Commit() {
 			return a.AbortStatus()
 		}
-		for _, sl := range slots {
-			sl.ver.Add(1) // odd: batch update in flight, fills stand down
+		for _, i := range slots {
+			r.slots[i].ver.Add(1) // odd: batch update in flight, fills stand down
 		}
 		for _, kv := range pairs {
 			sl := r.slot(kv.K)
@@ -642,16 +703,16 @@ func (r *ReadCache) tryBatchUpdate(c *core.Ctx, op core.BatchOp, pairs []core.KV
 		}
 		b := core.AsBatcher(r.inner)
 		if op == core.BatchPut {
-			b.MultiPut(c, pairs, func(j int, ok bool) { res[j] = ok })
+			b.MultiPut(c, pairs, sk.put)
 		} else {
-			keys := make([]core.Key, len(pairs))
+			keys := sc.Keys(len(pairs))
 			for j, kv := range pairs {
 				keys[j] = kv.K
 			}
-			b.MultiRemove(c, keys, func(j int, ok bool) { res[j] = ok })
+			b.MultiRemove(c, keys, sk.put)
 		}
-		for _, sl := range slots {
-			sl.ver.Add(1) // even again
+		for _, i := range slots {
+			r.slots[i].ver.Add(1) // even again
 		}
 		return htm.Committed
 	})

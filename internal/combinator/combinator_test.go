@@ -129,12 +129,15 @@ func TestCompositeCursorsMoreLeaves(t *testing.T) {
 // single-shard flat-combining path), per-stripe grouping (striped),
 // probe-then-forward (readcache), epoch- and gate-disciplined grouping
 // (elastic), and nesting. sharded(1,...) maximizes the single-shard
-// combine path's exposure.
+// combine path's exposure; sharded(·,skiplist/herlihy) is the one-call
+// PartBatcher path (the repo benchmark's range spec at 32).
 func TestCompositeBatchers(t *testing.T) {
 	for _, spec := range []string{
 		"sharded(16,list/lazy)",
 		"sharded(1,list/lazy)",
 		"sharded(4,hashtable/lazy)",
+		"sharded(32,skiplist/herlihy)",
+		"sharded(4,skiplist/herlihy)",
 		"striped(8,skiplist/herlihy)",
 		"readcache(1024,bst/tk)",
 		"readcache(64,sharded(4,hashtable/lazy))",

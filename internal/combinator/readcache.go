@@ -178,7 +178,12 @@ func (r *ReadCache) fill(c *core.Ctx, sl *rcSlot, k core.Key, v core.Value, v0 u
 }
 
 func (r *ReadCache) slot(k core.Key) *rcSlot {
-	return &r.slots[mix64(uint64(k))&r.mask]
+	return &r.slots[r.slotIndex(k)]
+}
+
+// slotIndex is the index of k's slot.
+func (r *ReadCache) slotIndex(k core.Key) int {
+	return int(mix64(uint64(k)) & r.mask)
 }
 
 // Get implements core.Set: the hit path is one atomic load; the miss path

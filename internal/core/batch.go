@@ -1,6 +1,6 @@
 // Batched-operation layer of the set abstraction: the Batcher optional
-// interface and the shared helpers behind every structure's amortized
-// multi-key paths.
+// interface, its one-pass-over-many-instances extension PartBatcher, and
+// the shared helpers behind every structure's amortized multi-key paths.
 //
 // The paper's thesis is that throughput is governed by how much
 // synchronization each operation pays on the hot path; a caller that
@@ -8,10 +8,14 @@
 // bracket, shard-map load and lock epoch *per key*. Batcher is the
 // synchronization-amortization counterpart of the Cursor extension:
 // where cursors amortize scan collection over pages, batches amortize
-// write/read synchronization over key groups. Composites group a batch
-// by destination and cross each shard/stripe boundary once; leaf
-// structures sort the batch and traverse once, resuming the search from
-// the previous key's position instead of restarting at the head.
+// write/read synchronization over key groups. What each implementation
+// amortizes differs. Lists sort the batch and traverse once, resuming
+// each search from the previous key's position. Other ordered leaves
+// apply sorted point operations (SortedMulti*), and hash tables loop
+// (LoopMulti*). Composites group a batch by destination and cross each
+// shard or stripe boundary once. A leaf that implements PartBatcher
+// takes a partitioned batch whole: the Herlihy skip list overlaps the
+// searches of up to 64 elements across all their shards.
 package core
 
 import (
@@ -59,9 +63,31 @@ type Batcher interface {
 	MultiRemove(c *Ctx, keys []Key, f func(i int, removed bool))
 }
 
+// PartBatcher is the optional extension of a leaf structure that serves
+// one batch spread over many instances of its own type: element i lives
+// in parts[i], and every parts[i] has the receiver's concrete type (the
+// receiver is only the entry point). A partitioning composite routes
+// each key and makes one call, instead of one sub-batch per part, so the
+// leaf can work on elements of different parts at once. f keeps
+// Batcher's contract: once per index, in ascending index order, with the
+// result the point operation on parts[i] would have returned.
+//
+// Consistency is Batcher's, per element. Every element's search runs
+// inside the call. An outcome that changes nothing (a get; a put that
+// finds the key present; a remove that finds it absent) linearizes at
+// its search's reads. An outcome that updates linearizes where the point
+// update does. Duplicate keys apply in ascending index order, so on a
+// quiescent structure the call equals the looped point operations.
+type PartBatcher interface {
+	MultiGetIn(c *Ctx, parts []Set, keys []Key, f func(i int, v Value, ok bool))
+	MultiPutIn(c *Ctx, parts []Set, pairs []KV, f func(i int, inserted bool))
+	MultiRemoveIn(c *Ctx, parts []Set, keys []Key, f func(i int, removed bool))
+}
+
 // BatchScratch recycles the transient buffers of one batched call:
-// the order/grouping index arrays, the result-replay buffers, and the
-// per-destination sub-batches. All of them die when the Multi* call
+// the order/grouping index arrays, the result-replay buffers, the
+// per-destination sub-batches, and the routed parts slice of a
+// PartBatcher call. All of them die when the Multi* call
 // returns, which under a batch-heavy workload left the allocator as
 // the dominant per-batch cost; carving them from a pooled arena makes
 // the steady-state batch path allocation-free. Take one scratch per
@@ -78,6 +104,7 @@ type BatchScratch struct {
 	kvs   []KV
 	vals  []Value
 	bools []bool
+	sets  []Set
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(BatchScratch) }}
@@ -86,13 +113,16 @@ var batchScratchPool = sync.Pool{New: func() any { return new(BatchScratch) }}
 func GetBatchScratch() *BatchScratch { return batchScratchPool.Get().(*BatchScratch) }
 
 // Release returns the scratch to the pool, invalidating every slice
-// carved from it.
+// carved from it. Carved Sets are cleared so a pooled scratch keeps no
+// structure alive.
 func (s *BatchScratch) Release() {
 	s.ints = s.ints[:0]
 	s.keys = s.keys[:0]
 	s.kvs = s.kvs[:0]
 	s.vals = s.vals[:0]
 	s.bools = s.bools[:0]
+	clear(s.sets)
+	s.sets = s.sets[:0]
 	batchScratchPool.Put(s)
 }
 
@@ -126,6 +156,9 @@ func (s *BatchScratch) Vals(n int) (out []Value) { s.vals, out = carve(s.vals, n
 // Bools carves a zeroed length-n bool slice from the scratch.
 func (s *BatchScratch) Bools(n int) (out []bool) { s.bools, out = carve(s.bools, n); return }
 
+// Sets carves a zeroed length-n Set slice from the scratch.
+func (s *BatchScratch) Sets(n int) (out []Set) { s.sets, out = carve(s.sets, n); return }
+
 // OrderInto fills ord with the indices 0..len(ord)-1 ordered by
 // ascending key, stably: duplicate keys keep their caller order, which
 // is what makes a sorted application sequentially equivalent to the
@@ -151,24 +184,6 @@ func OrderInto(ord []int, key func(int) Key) {
 		return
 	}
 	sort.SliceStable(ord, func(a, b int) bool { return key(ord[a]) < key(ord[b]) })
-}
-
-// BatchOrder returns the batch indices 0..n-1 ordered by ascending key
-// (see OrderInto), in a freshly allocated slice.
-func BatchOrder(n int, key func(int) Key) []int {
-	ord := make([]int, n)
-	OrderInto(ord, key)
-	return ord
-}
-
-// KeyOrder is BatchOrder over a key slice.
-func KeyOrder(keys []Key) []int {
-	return BatchOrder(len(keys), func(i int) Key { return keys[i] })
-}
-
-// PairOrder is BatchOrder over a pair slice.
-func PairOrder(pairs []KV) []int {
-	return BatchOrder(len(pairs), func(i int) Key { return pairs[i].K })
 }
 
 // LoopMultiGet implements MultiGet as a loop of point Gets — the

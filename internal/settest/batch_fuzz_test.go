@@ -10,21 +10,28 @@ import (
 	"testing"
 
 	"csds/internal/core"
+
+	// The skip-list specs below resolve through the registry.
+	_ "csds/internal/skiplist"
 )
 
 // fuzzBatchSpecs covers one bespoke leaf per strategy plus the grouped
 // composites whose partition arithmetic the fuzzer stresses hardest.
 var fuzzBatchSpecs = []string{
-	"list/lazy",               // guard-bracket traversal with resume
-	"list/harris",             // lock-free reads resumed, sorted writes
-	"sharded(4,list/lazy)",    // shard grouping + flat-combining wiring
-	"readcache(64,list/lazy)", // probe pass + miss sub-batch
+	"list/lazy",                   // guard-bracket traversal with resume
+	"list/harris",                 // lock-free reads resumed, sorted writes
+	"skiplist/herlihy",            // interleaved descents, hinted writes
+	"sharded(4,list/lazy)",        // shard grouping + flat-combining wiring
+	"sharded(4,skiplist/herlihy)", // one routed PartBatcher call
+	"readcache(64,list/lazy)",     // probe pass + miss sub-batch
 }
 
 // decodeBatches turns fuzz bytes into a batch program: each batch is a
 // kind byte, a length byte (0..16 — empties included), then that many
 // key bytes over a 32-key domain (small enough that duplicates and
-// present/absent flips are the common case, not the corner).
+// present/absent flips are the common case, not the corner). The keys
+// are spaced 32 apart, two to a 64-key routing block, so a sharded
+// batch spans several shards instead of the one block 0..31 would fill.
 type fuzzBatch struct {
 	kind byte // 0 put, 1 remove, 2 get
 	keys []core.Key
@@ -38,7 +45,7 @@ func decodeBatches(data []byte) []fuzzBatch {
 		i += 2
 		keys := make([]core.Key, 0, n)
 		for j := 0; j < n && i < len(data); j++ {
-			keys = append(keys, core.Key(data[i]%32))
+			keys = append(keys, core.Key(data[i]%32)*32)
 			i++
 		}
 		prog = append(prog, fuzzBatch{kind: kind, keys: keys})

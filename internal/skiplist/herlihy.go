@@ -98,10 +98,17 @@ func init() {
 	})
 }
 
-// find fills preds/succs for key k and returns the highest level at which
-// k was found, or -1. Pure reading: the parse phase.
-func (s *Herlihy) find(k core.Key, preds, succs []*hNode) int {
-	found := -1
+// descent is one search's result for a key k: on every level, the last
+// node before k and the first node at or after it, and the highest level
+// at which k was found (-1: absent).
+type descent struct {
+	preds, succs [maxMaxLevel]*hNode
+	found        int
+}
+
+// find fills d for key k. Pure reading: the parse phase.
+func (s *Herlihy) find(k core.Key, d *descent) {
+	d.found = -1
 	pred := s.head
 	for lvl := s.maxLevel - 1; lvl >= 0; lvl-- {
 		curr := pred.next[lvl].Load()
@@ -109,13 +116,12 @@ func (s *Herlihy) find(k core.Key, preds, succs []*hNode) int {
 			pred = curr
 			curr = pred.next[lvl].Load()
 		}
-		if found == -1 && curr.key == k {
-			found = lvl
+		if d.found == -1 && curr.key == k {
+			d.found = lvl
 		}
-		preds[lvl] = pred
-		succs[lvl] = curr
+		d.preds[lvl] = pred
+		d.succs[lvl] = curr
 	}
-	return found
 }
 
 // Get implements core.Set: no stores, no restarts.
@@ -167,14 +173,42 @@ func (ls *lockSet) releaseAll() {
 func (s *Herlihy) Put(c *core.Ctx, k core.Key, v core.Value) bool {
 	c.EpochEnter()
 	defer c.EpochExit()
+	return s.put(c, k, v, nil)
+}
+
+// put is Put inside the caller's epoch bracket. A non-nil hint is a
+// search for k already taken inside the same call (a batch's interleaved
+// descent, batch.go); it stands in for the first attempt's find, and
+// every later attempt searches afresh. Locking, validation, restart
+// accounting, the critical-section hook and retirement are Put's own, so
+// a hint gone stale — a node linked between a pred and its succ, a pred
+// or the found node marked — fails the same checks a stale find would
+// and costs exactly one restart.
+//
+// Consistency is Put's. A false result (k found, unmarked) linearizes at
+// the search's reads, as in the lazy skip list, which needs only that
+// the search ran inside the call; a true result linearizes at the locked
+// level-0 link. A later duplicate in one batch carries a hint taken
+// before the earlier one inserted, so it fails validation at level 0,
+// restarts, finds the new node and returns false — a looped Put's
+// answer. Elided instances keep their per-key path and ignore the hint.
+func (s *Herlihy) put(c *core.Ctx, k core.Key, v core.Value, hint *descent) bool {
 	if s.region.Attempts > 0 {
 		return s.putElided(c, k, v)
 	}
-	var preds, succs [maxMaxLevel]*hNode
+	var own descent
+	d := &own
+	if hint != nil {
+		d = hint
+	}
+	preds, succs := &d.preds, &d.succs
 	topLevel := randomLevel(c.Rng, s.maxLevel) - 1
 	restarts := 0
 	for {
-		if found := s.find(k, preds[:s.maxLevel], succs[:s.maxLevel]); found != -1 {
+		if hint == nil || restarts > 0 {
+			s.find(k, d)
+		}
+		if found := d.found; found != -1 {
 			n := succs[found]
 			if !n.marked.Load() {
 				// Wait for a concurrent inserter to finish splicing; the
@@ -221,11 +255,13 @@ func (s *Herlihy) Put(c *core.Ctx, k core.Key, v core.Value) bool {
 }
 
 func (s *Herlihy) putElided(c *core.Ctx, k core.Key, v core.Value) bool {
-	var preds, succs [maxMaxLevel]*hNode
+	var d descent
+	preds, succs := &d.preds, &d.succs
 	topLevel := randomLevel(c.Rng, s.maxLevel) - 1
 	restarts := 0
 	for {
-		if found := s.find(k, preds[:s.maxLevel], succs[:s.maxLevel]); found != -1 {
+		s.find(k, &d)
+		if found := d.found; found != -1 {
 			n := succs[found]
 			if !n.marked.Load() {
 				for !n.fullyLinked.Load() {
@@ -282,18 +318,50 @@ func okToDelete(n *hNode, foundLvl int) bool {
 func (s *Herlihy) Remove(c *core.Ctx, k core.Key) bool {
 	c.EpochEnter()
 	defer c.EpochExit()
+	return s.remove(c, k, nil)
+}
+
+// remove is Remove inside the caller's epoch bracket, with put's hint
+// contract: a non-nil hint, taken inside the same call, replaces the
+// first attempt's find, and a stale one costs exactly one restart — a
+// pred marked or no longer linked to the victim fails validation, and a
+// victim found already marked sends the hint back for a fresh search
+// (where a fresh find would answer false at once, the hint may be older
+// than a remove-then-reinsert of k).
+//
+// Consistency is Remove's. A false result (k absent, or its node not
+// okToDelete) linearizes at the search's reads, the lazy skip list's
+// argument, which needs only that the search ran inside the call; a
+// true result linearizes at the locked mark. A later duplicate in one
+// batch finds its victim marked by the earlier one, searches afresh, and
+// returns false — a looped Remove's answer. Elided instances keep their
+// per-key path and ignore the hint.
+func (s *Herlihy) remove(c *core.Ctx, k core.Key, hint *descent) bool {
 	if s.region.Attempts > 0 {
 		return s.removeElided(c, k)
 	}
-	var preds, succs [maxMaxLevel]*hNode
+	var own descent
+	d := &own
+	if hint != nil {
+		d = hint
+	}
+	preds := &d.preds
 	var victim *hNode
 	isMarked := false
 	topLevel := -1
 	restarts := 0
 	for {
-		found := s.find(k, preds[:s.maxLevel], succs[:s.maxLevel])
+		hinted := hint != nil && restarts == 0
+		if !hinted {
+			s.find(k, d)
+		}
+		found := d.found
 		if found != -1 {
-			victim = succs[found]
+			victim = d.succs[found]
+			if hinted && victim.marked.Load() {
+				restarts++
+				continue
+			}
 		}
 		if isMarked || (found != -1 && okToDelete(victim, found)) {
 			if !isMarked {
@@ -339,15 +407,17 @@ func (s *Herlihy) Remove(c *core.Ctx, k core.Key) bool {
 }
 
 func (s *Herlihy) removeElided(c *core.Ctx, k core.Key) bool {
-	var preds, succs [maxMaxLevel]*hNode
+	var d descent
+	preds := &d.preds
 	restarts := 0
 	for {
-		found := s.find(k, preds[:s.maxLevel], succs[:s.maxLevel])
+		s.find(k, &d)
+		found := d.found
 		if found == -1 {
 			c.RecordRestarts(restarts)
 			return false
 		}
-		victim := succs[found]
+		victim := d.succs[found]
 		if !okToDelete(victim, found) {
 			c.RecordRestarts(restarts)
 			return false
