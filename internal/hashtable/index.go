@@ -1,8 +1,8 @@
-// The ordered key index of the monolithic hash tables: a compact
-// lock-free skip list shadowing the table's live mappings, so cursor
-// pages and range scans run in O(log n + page) / O(log n + range)
-// instead of the O(table) collect-and-sort the tables paid before —
-// a hash walk has no resumable order of its own, but its shadow does.
+// The ordered key index of the monolithic hash tables: a compact lazy
+// skip list shadowing the table's live mappings, so cursor pages and
+// range scans run in O(log n + page) / O(log n + range) instead of the
+// O(table) collect-and-sort the tables paid before — a hash walk has no
+// resumable order of its own, but its shadow does.
 //
 // Consistency protocol: the index is mutated only inside the owning
 // table's ScanGuard write brackets, in the same bracket as the bucket
@@ -13,18 +13,27 @@
 // linearizable against the table's point operations, exactly as before.
 // Point reads never touch the index.
 //
-// The skip list itself is the Fraser / Herlihy–Shavit design already
-// used by skiplist/lockfree (bottom level decides membership, towers
-// spliced bottom-up with CAS, deletion marks top-down), stripped to the
-// index role: no stats, no locks, and a private level generator — index
-// maintenance must never pollute the paper's fine-grained
-// lock-wait/restart metrics, and its writers (concurrent bucket owners)
-// must never serialize on it. Unlinked nodes are retired through the
-// caller's epoch record at the bottom-level snip (every table operation
-// that touches the index runs inside an epoch bracket), with a nil
-// reclaim callback: a same-key insert can hide a structure-resident
-// upper-level link to a marked victim (see pool.go), so ixNodes fall to
-// the GC rather than a free-list.
+// The skip list is the lazy, lock-based one of Herlihy, Lev, Luchangco
+// and Shavit ("A Simple Optimistic Skiplist Algorithm", SIROCCO 2007),
+// the algorithm of skiplist/herlihy stripped to the index role: a
+// read-only descent, then locks on the neighbours of the changed node
+// only, validated and retried if a neighbour moved. That is the paper's
+// trade — updates to unrelated keys rarely share a neighbour, so a
+// blocking index waits about as rarely as a lock-free one retries, with
+// one load per hop and no per-link allocation. Index locks are acquired
+// with nil stats, so index maintenance records nothing into the paper's
+// fine-grained lock-wait/restart metrics; those stay the table's own.
+//
+// Lock order: the table's bucket lock (or Bucketed's sequencer), then
+// index node locks, then nothing — index code never waits on a table
+// lock. Within the index every update locks in descending key order (a
+// remove's victim first, then the predecessors bottom-up, whose keys
+// fall as levels rise), the order the lazy skip list's deadlock-freedom
+// proof rests on.
+//
+// Unlinked nodes are retired through the caller's epoch record (every
+// table operation that touches the index runs inside an epoch bracket)
+// with a nil reclaim callback: ixNodes fall to the GC (see pool.go).
 package hashtable
 
 import (
@@ -32,24 +41,27 @@ import (
 	"sync/atomic"
 
 	"csds/internal/core"
+	"csds/internal/locks"
 )
 
-// ixLink boxes (successor, mark) for one level of an index node — the
-// AtomicMarkableReference idiom, since Go cannot tag pointer bits.
-type ixLink struct {
-	next   *ixNode
-	marked bool
-}
-
+// ixNode is one index node. It has no fullyLinked flag, unlike the lazy
+// skip list's nodes: the tables serialize same-key index updates on
+// their bucket lock (or sequencer), so insert only ever sees an absent
+// key and remove only ever sees a present key whose insert has
+// finished — its tower fully linked, found at its top level. Readers
+// need no flag either: a collect that overlapped an unfinished splice
+// fails its guard validation.
 type ixNode struct {
 	key      core.Key
 	val      core.Value
-	next     []atomic.Pointer[ixLink]
+	next     []atomic.Pointer[ixNode]
+	marked   atomic.Bool // logically removed; set under lock before the unlink
+	lock     locks.TAS
 	topLevel int
 }
 
 func newIxNode(k core.Key, v core.Value, height int) *ixNode {
-	return &ixNode{key: k, val: v, next: make([]atomic.Pointer[ixLink], height), topLevel: height - 1}
+	return &ixNode{key: k, val: v, next: make([]atomic.Pointer[ixNode], height), topLevel: height - 1}
 }
 
 // ixMaxMaxLevel caps tower height (2^32 expected elements is far beyond
@@ -98,8 +110,7 @@ func newKeyIndex(n int) *keyIndex {
 	tail := newIxNode(core.KeyMax, 0, ml)
 	head := newIxNode(core.KeyMin, 0, ml)
 	for i := 0; i < ml; i++ {
-		tail.next[i].Store(&ixLink{})
-		head.next[i].Store(&ixLink{next: tail})
+		head.next[i].Store(tail)
 	}
 	return &keyIndex{head: head, tail: tail, maxLevel: ml}
 }
@@ -124,167 +135,139 @@ func (ix *keyIndex) randomLevel() int {
 	return lvl
 }
 
-// find locates the window for k on every level, snipping marked nodes
-// (each bottom-level snip retires the node through c). Reports whether k
-// is present at the bottom level.
-func (ix *keyIndex) find(c *core.Ctx, k core.Key, preds, succs []*ixNode) bool {
-retry:
-	for {
-		pred := ix.head
-		for lvl := ix.maxLevel - 1; lvl >= 0; lvl-- {
-			predLink := pred.next[lvl].Load()
-			curr := predLink.next
-			for {
-				currLink := curr.next[lvl].Load()
-				for currLink.marked {
-					if predLink.marked {
-						// pred was removed while the descent stood on it; a
-						// snip CASed through this link would unmark it and
-						// resurrect pred (see skiplist.LockFree.find).
-						continue retry
-					}
-					snip := &ixLink{next: currLink.next}
-					if !pred.next[lvl].CompareAndSwap(predLink, snip) {
-						continue retry
-					}
-					if lvl == 0 {
-						c.Retire(curr, nil) // nil: see pool.go
-					}
-					predLink = snip
-					curr = currLink.next
-					currLink = curr.next[lvl].Load()
-				}
-				if curr.key < k {
-					pred = curr
-					predLink = currLink
-					curr = currLink.next
-					continue
-				}
-				break
-			}
-			preds[lvl] = pred
-			succs[lvl] = curr
+// find fills, on every level, the last node before k and the first node
+// at or after it, and returns the highest level at which k was found
+// (-1: absent). Pure reading, one load per hop.
+func (ix *keyIndex) find(k core.Key, preds, succs []*ixNode) int {
+	found := -1
+	pred := ix.head
+	for lvl := ix.maxLevel - 1; lvl >= 0; lvl-- {
+		curr := pred.next[lvl].Load()
+		for curr.key < k {
+			pred = curr
+			curr = pred.next[lvl].Load()
 		}
-		return succs[0].key == k
+		if found == -1 && curr.key == k {
+			found = lvl
+		}
+		preds[lvl] = pred
+		succs[lvl] = curr
 	}
+	return found
+}
+
+// lockWindow locks the distinct preds of levels [0, top] bottom-up and
+// validates each level: pred unmarked and still linked to succs[lvl],
+// and, when live is set, succ unmarked too. On a failed level it
+// releases what it took and reports false; the caller searches again.
+func lockWindow(preds, succs []*ixNode, top int, live bool) bool {
+	for lvl := 0; lvl <= top; lvl++ {
+		p, s := preds[lvl], succs[lvl]
+		if lvl == 0 || p != preds[lvl-1] {
+			p.lock.Acquire(nil)
+		}
+		if p.marked.Load() || p.next[lvl].Load() != s || (live && s.marked.Load()) {
+			unlockWindow(preds, lvl)
+			return false
+		}
+	}
+	return true
+}
+
+// unlockWindow releases the distinct preds of levels [0, top].
+func unlockWindow(preds []*ixNode, top int) {
+	for lvl := 0; lvl <= top; lvl++ {
+		if lvl == 0 || preds[lvl] != preds[lvl-1] {
+			preds[lvl].lock.Release()
+		}
+	}
+}
+
+// link splices n into the window preds/succs bottom-up under the window's
+// locks, or reports false if the window moved since it was searched.
+func link(n *ixNode, preds, succs []*ixNode) bool {
+	if !lockWindow(preds, succs, n.topLevel, true) {
+		return false
+	}
+	for lvl := 0; lvl <= n.topLevel; lvl++ {
+		n.next[lvl].Store(succs[lvl])
+	}
+	for lvl := 0; lvl <= n.topLevel; lvl++ {
+		preds[lvl].next[lvl].Store(n)
+	}
+	unlockWindow(preds, n.topLevel)
+	return true
+}
+
+// unlink removes the marked victim from the window preds/succs top-down
+// under the window's locks, or reports false if the window moved.
+func unlink(victim *ixNode, preds, succs []*ixNode) bool {
+	if !lockWindow(preds, succs, victim.topLevel, false) {
+		return false
+	}
+	for lvl := victim.topLevel; lvl >= 0; lvl-- {
+		preds[lvl].next[lvl].Store(victim.next[lvl].Load())
+	}
+	unlockWindow(preds, victim.topLevel)
+	return true
 }
 
 // insert shadows a successful bucket insert. The caller's bucket lock
-// guarantees k is absent from the index (same-key operations serialize
-// on the bucket), so insert only contends with neighbors.
+// guarantees k is absent from the index, so insert only contends with
+// neighbours.
 func (ix *keyIndex) insert(c *core.Ctx, k core.Key, v core.Value) {
-	topLevel := ix.randomLevel() - 1
 	var pa, sa [ixMaxMaxLevel]*ixNode
 	preds, succs := pa[:ix.maxLevel], sa[:ix.maxLevel]
+	n := newIxNode(k, v, ix.randomLevel())
 	for {
-		if ix.find(c, k, preds, succs) {
+		if ix.find(k, preds, succs) != -1 {
 			return // unreachable under the bucket-serialization invariant
 		}
-		n := newIxNode(k, v, topLevel+1)
-		for lvl := 0; lvl <= topLevel; lvl++ {
-			n.next[lvl].Store(&ixLink{next: succs[lvl]})
+		if link(n, preds, succs) {
+			return
 		}
-		// Bottom level decides membership.
-		predLink := preds[0].next[0].Load()
-		if predLink.next != succs[0] || predLink.marked {
-			continue
-		}
-		if !preds[0].next[0].CompareAndSwap(predLink, &ixLink{next: n}) {
-			continue
-		}
-		// Splice the upper levels best-effort.
-		for lvl := 1; lvl <= topLevel; lvl++ {
-			for {
-				nLink := n.next[lvl].Load()
-				if nLink.marked {
-					break // node already being deleted; stop splicing
-				}
-				succ := succs[lvl]
-				if nLink.next != succ {
-					if !n.next[lvl].CompareAndSwap(nLink, &ixLink{next: succ}) {
-						continue
-					}
-				}
-				predLink := preds[lvl].next[lvl].Load()
-				if predLink.next == succ && !predLink.marked &&
-					preds[lvl].next[lvl].CompareAndSwap(predLink, &ixLink{next: n}) {
-					break
-				}
-				// Window moved: recompute and retry this level.
-				ix.find(c, k, preds, succs)
-				if succs[0] != n {
-					// Node got deleted meanwhile; abandon upper splicing.
-					lvl = topLevel
-					break
-				}
-			}
-		}
-		return
 	}
 }
 
-// remove shadows a successful bucket remove: mark from the top level
-// down; the bottom mark unshadows the key. Same-key serialization means
-// the victim is always present and nobody else removes it concurrently.
+// remove shadows a successful bucket remove: mark the victim under its
+// own lock (which keeps inserters from linking after it), then unlink
+// it. Same-key serialization means the victim is always present, fully
+// linked, and nobody else removes it concurrently.
 func (ix *keyIndex) remove(c *core.Ctx, k core.Key) {
 	var pa, sa [ixMaxMaxLevel]*ixNode
 	preds, succs := pa[:ix.maxLevel], sa[:ix.maxLevel]
-	if !ix.find(c, k, preds, succs) {
+	if ix.find(k, preds, succs) == -1 {
 		return // unreachable under the bucket-serialization invariant
 	}
 	victim := succs[0]
-	for lvl := victim.topLevel; lvl >= 1; lvl-- {
-		for {
-			link := victim.next[lvl].Load()
-			if link.marked {
-				break
-			}
-			if victim.next[lvl].CompareAndSwap(link, &ixLink{next: link.next, marked: true}) {
-				break
-			}
-		}
+	victim.lock.Acquire(nil)
+	victim.marked.Store(true)
+	for !unlink(victim, preds, succs) {
+		ix.find(k, preds, succs)
 	}
-	for {
-		link := victim.next[0].Load()
-		if link.marked {
-			return
-		}
-		if victim.next[0].CompareAndSwap(link, &ixLink{next: link.next, marked: true}) {
-			ix.find(c, k, preds, succs) // physical cleanup
-			return
-		}
-	}
+	victim.lock.Release()
+	c.Retire(victim, nil) // nil: see pool.go
 }
 
 // collect walks the index in ascending key order over [pos, hi),
-// emitting unmarked mappings until emit declines. Atomic loads only, no
-// helping, restartable — exactly what the table's GuardedScan /
+// emitting unmarked mappings until emit declines. Atomic loads only,
+// no locks, restartable — exactly what the table's GuardedScan /
 // GuardedPage collect phases require. The descent to pos is O(log n);
 // the walk is O(keys emitted).
 func (ix *keyIndex) collect(pos, hi core.Key, emit func(k core.Key, v core.Value) bool) {
 	pred := ix.head
 	var curr *ixNode
 	for lvl := ix.maxLevel - 1; lvl >= 0; lvl-- {
-		curr = pred.next[lvl].Load().next
-		for {
-			currLink := curr.next[lvl].Load()
-			if currLink.marked {
-				curr = currLink.next
-				continue
-			}
-			if curr.key < pos {
-				pred = curr
-				curr = currLink.next
-				continue
-			}
-			break
+		curr = pred.next[lvl].Load()
+		for curr.key < pos {
+			pred = curr
+			curr = pred.next[lvl].Load()
 		}
 	}
 	for curr.key < hi {
-		link := curr.next[0].Load()
-		if !link.marked && !emit(curr.key, curr.val) {
+		if !curr.marked.Load() && !emit(curr.key, curr.val) {
 			return
 		}
-		curr = link.next
+		curr = curr.next[0].Load()
 	}
 }

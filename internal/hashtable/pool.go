@@ -5,14 +5,13 @@
 // thread-private ones obtained inside epoch brackets — the grace period
 // waits those out and the node recycles safely.
 //
-// The ordered key index does NOT pool. Its nodes are retired at the
-// bottom-level snip, but an insert of the same key can publish an
-// upper-level link to the marked victim and then hide it behind the
-// equal-keyed new node (the helping walk stops at the first key >= k,
-// so nothing ever snips the hidden link) — a structure-resident
-// reference that outlives any bracket. ixNode retirements therefore
-// carry a nil callback and fall to the GC, like skiplist/lockfree (see
-// DESIGN.md).
+// The ordered key index does not pool. An ixNode is retired once its
+// remove has unlinked it from every level under the neighbours' locks,
+// so the hidden same-key link of the old lock-free index (a
+// structure-resident reference no bracket bounds) cannot arise. The
+// retirements still carry a nil callback and fall to the GC, by choice,
+// until the pooling checker of ROADMAP item 1(d) exists to prove a
+// recycled ixNode safe (see DESIGN.md).
 package hashtable
 
 import "csds/internal/core"

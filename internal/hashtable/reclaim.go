@@ -3,7 +3,7 @@
 // pool at once (same contract as the list package: the caller
 // guarantees the instance is quiesced and discarded — the elastic
 // resize's retire callback). The ordered key index is left for the GC —
-// ixNodes are never pooled (pool.go) — and the COW table has nothing to
+// ixNodes are not pooled (pool.go) — and the COW table has nothing to
 // pool at all.
 package hashtable
 
