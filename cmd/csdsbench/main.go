@@ -18,6 +18,7 @@
 //	csdsbench -alg 'elastic(1,list/lazy)' -resize-at '100ms:8,300ms:2'
 //	csdsbench -alg 'elastic(1,list/lazy)' -elastic-growwait 0.05 -elastic-max 32
 //	csdsbench -alg hashtable/lazy -elide 5 -threads 32
+//	csdsbench -alg list/lazy -fault 'cs.delay:every=5,min=1us,max=100us,workers=1'
 //	csdsbench -workload ycsb-b -threads 4 -size 2048
 //	csdsbench -workload 'flash:updates=0.2' -alg 'sharded(8,list/lazy)'
 //	csdsbench -workload ycsb-b -auto-spec -alg list/lazy -threads 4
@@ -33,6 +34,13 @@
 // (cmd/csdsmodel, internal/tuner) picks the shard width, cache capacity
 // and page-size hint, and the derived spec becomes the report's
 // algorithm line, so auto-tuned cells are honest about what was measured.
+//
+// -fault arms the fault plane, which also carries the paper's §5.4
+// adversaries: the plan above is Figure 9's victim (worker 0 delayed
+// 1–100 µs on every 5th write phase ≈ every 10th update, locks held), and
+// 'htm.abort:p=0.001,min=50us,max=500us;cs.delay:p=0.001,min=50us,max=500us'
+// is Tables 2–3's multiprogramming (see fault.PaperVictim and
+// fault.Multiprogram).
 //
 // A -scan-frac above 0 dedicates that fraction of operations to
 // linearizable range scans (every structure and combinator implements
@@ -63,7 +71,6 @@ import (
 	"csds/internal/core"
 	"csds/internal/fault"
 	"csds/internal/harness"
-	"csds/internal/interrupt"
 	"csds/internal/tuner"
 	"csds/internal/workload"
 
@@ -100,7 +107,6 @@ type benchOpts struct {
 	runs       *int
 	elide      *int
 	ebrOn      *bool
-	delayed    *int
 	resizeAt   *string
 	egrow      *float64
 	eshrink    *float64
@@ -140,7 +146,6 @@ func newFlags(stderr io.Writer) (*flag.FlagSet, *benchOpts) {
 		runs:       fs.Int("runs", 3, "runs to average (paper: 11)"),
 		elide:      fs.Int("elide", 0, "HTM elision attempts (0 = plain locks)"),
 		ebrOn:      fs.Bool("ebr", false, "attach epoch-based reclamation"),
-		delayed:    fs.Int("delayed", 0, "number of Figure 9 victim threads"),
 		resizeAt:   fs.String("resize-at", "", "resize schedule for elastic specs: 'dur:width[,dur:width...]', e.g. '100ms:8,300ms:2'"),
 		egrow:      fs.Float64("elastic-grow", 0, "adaptive policy: double the width when per-shard ops/s exceeds this (0 = off)"),
 		eshrink:    fs.Float64("elastic-shrink", 0, "adaptive policy: halve the width when per-shard ops/s falls below this (0 = off)"),
@@ -381,10 +386,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Fault:    plan,
 		Workload: wcfg,
 	}
-	if *o.delayed > 0 {
-		cfg.DelayedThreads = *o.delayed
-		cfg.DelayPlan = interrupt.PaperDelayPlan()
-	}
 	if *o.resizeAt != "" {
 		steps, err := parseResizeSteps(*o.resizeAt)
 		if err != nil {
@@ -423,7 +424,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		var rejected []string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "elide", "ebr", "delayed", "resize-at",
+			case "elide", "ebr", "resize-at",
 				"elastic-grow", "elastic-shrink", "elastic-growwait",
 				"elastic-min", "elastic-max", "elastic-interval",
 				"auto-spec", "cache-ttl", "cache-admit":

@@ -113,7 +113,7 @@ func TestFlagRosterPinned(t *testing.T) {
 	want := []string{
 		"-alg", "-auto-spec", "-batch-dist", "-batch-frac", "-batch-len",
 		"-cache-admit", "-cache-ttl",
-		"-cursor-frac", "-delayed", "-dur", "-ebr",
+		"-cursor-frac", "-dur", "-ebr",
 		"-elastic-grow", "-elastic-growwait", "-elastic-interval",
 		"-elastic-max", "-elastic-min", "-elastic-shrink",
 		"-elide", "-fault", "-list", "-net", "-page-dist", "-page-len",
@@ -141,7 +141,6 @@ func TestNetRejectsLocalFlags(t *testing.T) {
 	for _, extra := range [][]string{
 		{"-ebr"},
 		{"-elide", "3"},
-		{"-delayed", "1"},
 		{"-resize-at", "10ms:4"},
 		{"-elastic-grow", "100"},
 		{"-cache-ttl", "50ms"},

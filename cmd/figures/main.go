@@ -24,8 +24,8 @@ import (
 	"time"
 
 	"csds/internal/birthday"
+	"csds/internal/fault"
 	"csds/internal/harness"
-	"csds/internal/interrupt"
 	"csds/internal/queuestack"
 	"csds/internal/sim"
 	"csds/internal/workload"
@@ -73,15 +73,40 @@ func wantRun() bool { return *engine == "run" || *engine == "both" }
 func wantSim() bool { return *engine == "sim" || *engine == "both" }
 
 func runCell(alg string, threads, size int, u, zipf float64) harness.Result {
-	res, err := harness.Run(harness.Config{
+	return mustRun(harness.Config{
 		Algorithm: alg, Threads: threads, Duration: *dur, Runs: *runs,
 		Workload: workload.Config{Size: size, UpdateRatio: u, ZipfS: zipf},
 	})
+}
+
+func mustRun(cfg harness.Config) harness.Result {
+	res, err := harness.Run(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	return res
+}
+
+// fig9Config is Figure 9's cell for alg: one of 20 workers is delayed
+// while holding locks (fault.PaperVictim).
+func fig9Config(alg string) harness.Config {
+	return harness.Config{
+		Algorithm: alg, Threads: 20, Duration: *dur, Runs: *runs,
+		Workload: workload.Config{Size: 2048, UpdateRatio: 0.1},
+		Fault:    harness.PaperPlan(fault.PaperVictim, alg),
+	}
+}
+
+// multiprogramConfig is the Table 2–3 cell for alg at update ratio u:
+// 32 workers under rare context switches (fault.Multiprogram), with
+// elide speculative attempts per critical section (0 = plain locks).
+func multiprogramConfig(alg string, u float64, elide int) harness.Config {
+	return harness.Config{
+		Algorithm: alg, Threads: 32, Duration: *dur, Runs: *runs, ElideAttempts: elide,
+		Workload: workload.Config{Size: 1024, UpdateRatio: u},
+		Fault:    harness.PaperPlan(fault.Multiprogram, alg),
+	}
 }
 
 func simCell(alg string, threads, size int, u float64) sim.Result {
@@ -268,15 +293,7 @@ func fig9() {
 	header("Figure 9: one thread delayed 1-100µs every 10 updates while holding locks")
 	fmt.Printf("%-18s %16s %16s\n", "structure", "lock-wait frac", "restarted frac")
 	for _, alg := range featured {
-		res, err := harness.Run(harness.Config{
-			Algorithm: alg, Threads: 20, Duration: *dur, Runs: *runs,
-			Workload:       workload.Config{Size: 2048, UpdateRatio: 0.1},
-			DelayedThreads: 1, DelayPlan: interrupt.PaperDelayPlan(),
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		res := mustRun(fig9Config(alg))
 		fmt.Printf("%-18s %16.2e %16.2e\n", alg, res.WaitFraction, res.RestartedFrac)
 	}
 }
@@ -309,12 +326,7 @@ func table2() {
 		fmt.Printf("%-10.0f", u*100)
 		for _, alg := range []string{"list/lazy", "skiplist/herlihy", "hashtable/lazy", "bst/tk"} {
 			if *engine == "run" {
-				res, _ := harness.Run(harness.Config{
-					Algorithm: alg, Threads: 32, Duration: *dur, Runs: *runs, ElideAttempts: 5,
-					Workload:   workload.Config{Size: 1024, UpdateRatio: u},
-					SwitchPlan: &interrupt.SwitchPlan{Rate: 0.0005, MinOff: 50 * time.Microsecond, MaxOff: 500 * time.Microsecond},
-				})
-				fmt.Printf(" %12.5f", res.FallbackFrac)
+				fmt.Printf(" %12.5f", mustRun(multiprogramConfig(alg, u, 5)).FallbackFrac)
 			} else {
 				st, _ := sim.ModelFor(alg)
 				s := sim.Run(sim.Config{Machine: sim.PaperHaswell(), Structure: st, Threads: 32,
@@ -334,12 +346,7 @@ func table3() {
 		for _, alg := range []string{"list/lazy", "skiplist/herlihy", "hashtable/lazy", "bst/tk"} {
 			if *engine == "run" {
 				mk := func(elide int) float64 {
-					res, _ := harness.Run(harness.Config{
-						Algorithm: alg, Threads: 32, Duration: *dur, Runs: *runs, ElideAttempts: elide,
-						Workload:   workload.Config{Size: 1024, UpdateRatio: u},
-						SwitchPlan: &interrupt.SwitchPlan{Rate: 0.0005, MinOff: 50 * time.Microsecond, MaxOff: 500 * time.Microsecond},
-					})
-					return res.Throughput
+					return mustRun(multiprogramConfig(alg, u, elide)).Throughput
 				}
 				fmt.Printf(" %12.2f", mk(5)/mk(0))
 			} else {

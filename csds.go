@@ -22,7 +22,7 @@
 //	s.Remove(c, 42)
 //
 // Every operation takes a *Ctx: Go has no thread-local storage, so the
-// per-thread pieces (PRNG, statistics, HTM abort flag) travel explicitly,
+// per-thread pieces (PRNG, statistics, EBR record) travel explicitly,
 // mirroring ASCYLIB's per-thread initialization.
 //
 // Beyond single instances, the library composes structures horizontally
@@ -92,7 +92,6 @@ import (
 
 	"csds/internal/core"
 	"csds/internal/ebr"
-	"csds/internal/htm"
 	"csds/internal/queuestack"
 
 	// Register every algorithm with the core registry, and the structure
@@ -192,9 +191,6 @@ func DecodeCursorToken(token string) (CursorToken, error) { return core.DecodeCu
 // NewEBRDomain creates an epoch-based reclamation domain to share across
 // structures (optional: Go's GC reclaims safely without one).
 func NewEBRDomain() *ebr.Domain { return ebr.NewDomain() }
-
-// NewDoom creates an HTM abort flag for interrupt injection.
-func NewDoom() *htm.Doom { return &htm.Doom{} }
 
 // mustNew constructs a registered algorithm and panics on a wiring bug —
 // the names below are registered by this package's own imports, so

@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"csds/internal/fault"
 	"csds/internal/harness"
-	"csds/internal/interrupt"
 	"csds/internal/queuestack"
 	"csds/internal/sim"
 	"csds/internal/workload"
@@ -85,7 +85,8 @@ func BenchmarkFig8Sim(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Figure 9: unresponsive threads — one worker is delayed 1–100µs every 10
-// updates *while holding locks*; waits stay ~1%, restarts ~0.015%.
+// updates *while holding locks* (fault.PaperVictim); waits stay ~1%,
+// restarts ~0.015%.
 // ---------------------------------------------------------------------------
 
 func BenchmarkFig9Run(b *testing.B) {
@@ -93,9 +94,8 @@ func BenchmarkFig9Run(b *testing.B) {
 		b.Run("alg="+alg, func(b *testing.B) {
 			benchCell(b, harness.Config{
 				Algorithm: alg, Threads: 20,
-				Workload:       workload.Config{Size: 2048, UpdateRatio: 0.1},
-				DelayedThreads: 1,
-				DelayPlan:      interrupt.PaperDelayPlan(),
+				Workload: workload.Config{Size: 2048, UpdateRatio: 0.1},
+				Fault:    harness.PaperPlan(fault.PaperVictim, alg),
 			})
 		})
 	}
@@ -149,7 +149,8 @@ func runHotspot(kind string, threads int, dur time.Duration) float64 {
 
 // ---------------------------------------------------------------------------
 // Tables 2 and 3: multiprogramming (8 threads per hardware context in the
-// paper, simulated here) with TSX-style lock elision. Table 2 reports the
+// paper, simulated here; injected context switches, fault.Multiprogram,
+// in the runtime cells) with TSX-style lock elision. Table 2 reports the
 // fraction of critical sections that fall back to real locks; Table 3 the
 // throughput ratio of elided vs default implementations.
 // ---------------------------------------------------------------------------
@@ -161,9 +162,7 @@ func BenchmarkTable2Run(b *testing.B) {
 				benchCell(b, harness.Config{
 					Algorithm: alg, Threads: 32, ElideAttempts: 5,
 					Workload: workload.Config{Size: 1024, UpdateRatio: u},
-					SwitchPlan: &interrupt.SwitchPlan{
-						Rate: 0.0005, MinOff: 50 * time.Microsecond, MaxOff: 500 * time.Microsecond,
-					},
+					Fault:    harness.PaperPlan(fault.Multiprogram, alg),
 				})
 			})
 		}
@@ -190,15 +189,14 @@ func BenchmarkTable2Sim(b *testing.B) {
 }
 
 func BenchmarkTable3Run(b *testing.B) {
-	sp := &interrupt.SwitchPlan{Rate: 0.0005, MinOff: 50 * time.Microsecond, MaxOff: 500 * time.Microsecond}
 	for _, alg := range featuredAlgs {
 		for _, u := range []float64{0.2, 1.0} {
 			for _, elide := range []int{0, 5} {
 				b.Run(fmt.Sprintf("alg=%s/upd=%g/elide=%d", alg, u, elide), func(b *testing.B) {
 					benchCell(b, harness.Config{
 						Algorithm: alg, Threads: 32, ElideAttempts: elide,
-						Workload:   workload.Config{Size: 1024, UpdateRatio: u},
-						SwitchPlan: sp,
+						Workload: workload.Config{Size: 1024, UpdateRatio: u},
+						Fault:    harness.PaperPlan(fault.Multiprogram, alg),
 					})
 				})
 			}

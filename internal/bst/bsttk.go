@@ -167,7 +167,7 @@ func (t *TK) putElided(c *core.Ctx, k core.Key, v core.Value) bool {
 			return false
 		}
 		var inserted bool
-		st := t.region.Run(c.Stat(), tkDoom(c), func(a *htm.Acq) htm.Status {
+		st := t.region.Run(c.Stat(), c.Injector(), func(a *htm.Acq) htm.Status {
 			if !a.Lock(&p.lock) {
 				return a.AbortStatus()
 			}
@@ -272,7 +272,7 @@ func (t *TK) removeElided(c *core.Ctx, k core.Key) bool {
 			return false
 		}
 		var removed bool
-		st := t.region.Run(c.Stat(), tkDoom(c), func(a *htm.Acq) htm.Status {
+		st := t.region.Run(c.Stat(), c.Injector(), func(a *htm.Acq) htm.Status {
 			if !a.Lock(&gp.lock) || !a.Lock(&p.lock) {
 				return a.AbortStatus()
 			}
@@ -412,11 +412,4 @@ func pageLeaves(n *tkNode, lo, hi core.Key, emit func(k core.Key, v core.Value) 
 		return pageLeaves(n.right.Load(), lo, hi, emit)
 	}
 	return true
-}
-
-func tkDoom(c *core.Ctx) *htm.Doom {
-	if c == nil {
-		return nil
-	}
-	return c.Doom
 }

@@ -14,6 +14,15 @@ func TestTKChaos(t *testing.T) {
 	settest.RunChaos(t, func(o core.Options) core.Set { return NewTK(o) })
 }
 
+// TestTKChaosElided: the battery with lock elision on, so htm.abort
+// drives the abort → retry → fallback path (see list.TestLazyChaosElided).
+func TestTKChaosElided(t *testing.T) {
+	settest.RunChaos(t, func(o core.Options) core.Set {
+		o.ElideAttempts = 5
+		return NewTK(o)
+	})
+}
+
 func TestInternalChaos(t *testing.T) {
 	settest.RunChaos(t, func(o core.Options) core.Set { return NewInternal(o) })
 }

@@ -679,11 +679,7 @@ func (r *ReadCache) tryBatchUpdate(c *core.Ctx, sc *core.BatchScratch, op core.B
 	sk := sinkPool.Get().(*sink)
 	defer sk.release()
 	sk.oks = res
-	var d *htm.Doom
-	if c != nil {
-		d = c.Doom
-	}
-	return htm.Try(c.Stat(), d, func(a *htm.Acq) htm.Status {
+	return htm.Try(c.Stat(), c.Injector(), func(a *htm.Acq) htm.Status {
 		for _, i := range slots {
 			if !a.Lock(&r.slots[i].mu) {
 				return a.AbortStatus()

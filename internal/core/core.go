@@ -8,8 +8,8 @@
 //
 // A Ctx plays the role of ASCYLIB's thread-local initialization: Go has no
 // thread-local storage and goroutines migrate between OS threads, so the
-// per-thread pieces (PRNG stream, statistics slot, HTM doom flag, EBR
-// record, critical-section hook) travel explicitly with each call.
+// per-thread pieces (PRNG stream, statistics slot, EBR record, fault
+// injector) travel explicitly with each call.
 package core
 
 import (
@@ -89,16 +89,13 @@ type Ctx struct {
 	Rng *xrand.Rng
 	// Stats is the worker's metric slot; may be nil (no recording).
 	Stats *stats.Thread
-	// Doom is the worker's HTM abort flag; may be nil.
-	Doom *htm.Doom
 	// Epoch is the worker's EBR record; may be nil (GC-only reclamation).
 	Epoch *ebr.Record
-	// CSHook, when non-nil, is invoked by blocking write phases while
-	// their locks are held (interrupt injection point, Figure 9).
-	CSHook func()
 	// Fault is the worker's deterministic fault injector; nil means no
-	// faults. Structure and combinator code consults it only through the
-	// Fault* helpers below, which tolerate nil at every level.
+	// faults. Every injected adversary reaches structure and combinator
+	// code through it — the paper's delayed lock holder (cs.delay, via
+	// InCS) and multiprogramming aborts (htm.abort, via Injector) as
+	// much as the chaos battery's points.
 	Fault *fault.Injector
 	// SkipCacheFill, when set, tells read-through caches not to admit new
 	// entries on miss (served hits are unaffected) — the server's degraded
@@ -115,7 +112,6 @@ func NewCtx(id int) *Ctx {
 		ID:    id,
 		Rng:   xrand.New(uint64(id)*0x9e3779b97f4a7c15 + 1),
 		Stats: &stats.Thread{},
-		Doom:  &htm.Doom{},
 	}
 }
 
@@ -127,25 +123,23 @@ func (c *Ctx) Stat() *stats.Thread {
 	return c.Stats
 }
 
-// InCS fires the critical-section hook, tolerating nil.
+// InCS is called by blocking write phases while their locks are held: it
+// draws cs.delay from the worker's injector (Figure 9's adversary — a
+// worker descheduled mid-write), tolerating nil. One load and one branch
+// without a plan.
 func (c *Ctx) InCS() {
-	if c != nil && c.CSHook != nil {
-		c.CSHook()
+	if c != nil && c.Fault != nil {
+		c.Fault.Delay(fault.CSDelay)
 	}
 }
 
-// FaultFire draws fault point pt and reports whether it fires, tolerating
-// a nil context and a nil injector.
-func (c *Ctx) FaultFire(pt fault.Point) bool {
-	return c != nil && c.Fault.Fire(pt)
-}
-
-// FaultDelay draws fault point pt and busy-spins for the drawn duration
-// when it fires, tolerating nil.
-func (c *Ctx) FaultDelay(pt fault.Point) {
-	if c != nil {
-		c.Fault.Delay(pt)
+// Injector returns the worker's fault injector, tolerating a nil context
+// (a nil injector never fires).
+func (c *Ctx) Injector() *fault.Injector {
+	if c == nil {
+		return nil
 	}
+	return c.Fault
 }
 
 // RecordRestarts forwards an operation's restart count, tolerating nil.

@@ -2,8 +2,10 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"csds/internal/ebr"
+	"csds/internal/fault"
 	"csds/internal/stats"
 )
 
@@ -115,7 +117,10 @@ func TestNilCtxSafety(t *testing.T) {
 	if c.Stat() != nil {
 		t.Fatal("nil ctx Stat() not nil")
 	}
-	c.InCS()                  // must not panic
+	c.InCS() // must not panic
+	if c.Injector() != nil {
+		t.Fatal("nil ctx Injector() not nil")
+	}
 	c.RecordRestarts(3)       // must not panic
 	c.EpochEnter()            // must not panic
 	c.EpochExit()             // must not panic
@@ -124,14 +129,29 @@ func TestNilCtxSafety(t *testing.T) {
 
 func TestCtxHelpers(t *testing.T) {
 	c := NewCtx(7)
-	if c.ID != 7 || c.Rng == nil || c.Stats == nil || c.Doom == nil {
+	if c.ID != 7 || c.Rng == nil || c.Stats == nil || c.Fault != nil {
 		t.Fatalf("NewCtx incomplete: %+v", c)
 	}
-	fired := 0
-	c.CSHook = func() { fired++ }
+	c.InCS() // no plan: must not fire or panic
+	if c.Injector() != nil {
+		t.Fatal("Injector() without a plan must be nil")
+	}
+	plan, err := fault.ParsePlan("cs.delay:every=1,min=100us")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tally := fault.NewTally()
+	c.Fault = fault.NewInjector(plan, 0, tally)
+	if c.Injector() != c.Fault {
+		t.Fatal("Injector() does not return the context's injector")
+	}
+	start := time.Now()
 	c.InCS()
-	if fired != 1 {
-		t.Fatal("InCS did not fire hook")
+	if tally.Count(fault.CSDelay) != 1 {
+		t.Fatalf("InCS fired cs.delay %d times, want 1", tally.Count(fault.CSDelay))
+	}
+	if el := time.Since(start); el < 100*time.Microsecond {
+		t.Fatalf("InCS returned after %v; the drawn 100µs delay was not served", el)
 	}
 	c.RecordRestarts(2)
 	if c.Stats.RestartedOps[2] != 1 {

@@ -194,7 +194,7 @@ func guardedCollect(c *Ctx, g *ScanGuard, pass func()) int {
 		pass()
 		// A forced guard failure (chaos plane) discards an otherwise
 		// consistent snapshot, driving the retry and barrier paths.
-		if g.validate(s) && !c.FaultFire(fault.GuardFail) {
+		if g.validate(s) && !c.Injector().Fire(fault.GuardFail) {
 			return attempt
 		}
 	}

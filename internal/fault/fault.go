@@ -1,10 +1,12 @@
-// Package fault is the repository's deterministic fault plane: a seedable,
-// schedule-driven injector that generalizes internal/interrupt (the paper's
-// §5.4 delay experiments) into named fault points threaded through every
-// layer — structure/combinator boundaries (operation delays, forced
-// guard-validation failures), the EBR domain (stalled and abandoned
-// records, delayed retire callbacks), and the serving stack (slow/torn/
-// dropped connections, injected handler panics, forced busy shedding).
+// Package fault is the repository's one injection plane: a seedable,
+// schedule-driven injector with named fault points threaded through every
+// layer — the paper's §5.4 adversaries (a worker delayed while holding
+// locks, Figure 9; context switches that abort elided critical sections,
+// Tables 2–3: see PaperVictim and Multiprogram), structure/combinator
+// boundaries (operation delays, forced guard-validation failures), the
+// EBR domain (stalled and abandoned records, delayed retire callbacks),
+// and the serving stack (slow/torn/dropped connections, injected handler
+// panics, forced busy shedding).
 //
 // Determinism is the whole point: a Plan is a seed plus a set of per-point
 // rules, an Injector derives one private RNG stream per (point, worker)
@@ -35,75 +37,104 @@ import (
 
 // Point names one injection site. Points are a closed set: ParsePlan
 // rejects unknown names, so a typo'd schedule is an error, not a silent
-// no-op chaos run.
-type Point string
+// no-op chaos run. A Point is a small index (its position in Points), so
+// a draw indexes the injector's per-point state directly.
+type Point uint8
 
 const (
 	// OpDelay delays a worker between operations (outside any lock or
 	// epoch bracket) — multiprogrammed descheduling, §5.4's between-ops
 	// case.
-	OpDelay Point = "op.delay"
+	OpDelay Point = iota
 	// CSDelay delays a worker inside a write critical section, while its
-	// locks are held — the paper's Figure 9 adversary, routed through
-	// core.Ctx.CSHook.
-	CSDelay Point = "cs.delay"
+	// locks are held — the paper's Figure 9 adversary, drawn by
+	// core.Ctx.InCS from the worker's injector.
+	CSDelay
 	// GuardFail forces a ScanGuard validation failure after an otherwise
 	// consistent optimistic collect, driving scans and cursor pages down
 	// their retry and freeze-barrier fallback paths.
-	GuardFail Point = "guard.fail"
+	GuardFail
 	// RetireDelay delays a retire callback at reclaim time (the callback
 	// runs late, not the retirement itself).
-	RetireDelay Point = "retire.delay"
+	RetireDelay
 	// EBRStall runs a reclamation antagonist: a registered record that
 	// enters a critical region and sits in it, holding the epoch back.
 	// The rule's Min/Max bound the stall length.
-	EBRStall Point = "ebr.stall"
+	EBRStall
 	// EBRAbandon runs an antagonist that enters a critical region and
 	// then unregisters without exiting — the panicking-worker shape that
 	// Record.Unregister's force-exit must absorb.
-	EBRAbandon Point = "ebr.abandon"
+	EBRAbandon
 	// ConnSlow stalls a server-side connection read or write mid-stream.
-	ConnSlow Point = "conn.slow"
+	ConnSlow
 	// ConnTorn writes a prefix of a response and then severs the
 	// connection — a torn frame on the wire.
-	ConnTorn Point = "conn.torn"
+	ConnTorn
 	// ConnDrop severs a connection outright.
-	ConnDrop Point = "conn.drop"
+	ConnDrop
 	// HandlerPanic panics inside the server's request handler, exercising
 	// the per-connection containment (recover + EBR unregister) path.
-	HandlerPanic Point = "handler.panic"
+	HandlerPanic
 	// ShedBusy forces the server to answer SERVER_ERROR busy as if the
 	// in-flight gate were saturated.
-	ShedBusy Point = "shed.busy"
+	ShedBusy
+	// HTMAbort interrupts a speculative critical section at its commit
+	// point (htm.Acq.Commit): the attempt aborts as Interrupted before
+	// any write, releases its locks, and only then is the worker
+	// descheduled for the drawn duration — TSX's abort-on-interrupt, the
+	// multiprogramming adversary of §5.4 (Tables 2–3) under elision.
+	HTMAbort
+
+	numPoints = iota
 )
 
+// pointNames spells each point in the plan grammar, indexed by Point.
+var pointNames = [numPoints]string{
+	"op.delay", "cs.delay", "guard.fail", "retire.delay",
+	"ebr.stall", "ebr.abandon",
+	"conn.slow", "conn.torn", "conn.drop", "handler.panic", "shed.busy",
+	"htm.abort",
+}
+
 // Points is the closed set of injection sites, in canonical order (the
-// order String renders and Tally reports in).
+// order String renders and Tally reports in). New points go last, so no
+// existing point's stream seed (which mixes its index) ever shifts.
 var Points = []Point{
 	OpDelay, CSDelay, GuardFail, RetireDelay,
 	EBRStall, EBRAbandon,
 	ConnSlow, ConnTorn, ConnDrop, HandlerPanic, ShedBusy,
+	HTMAbort,
 }
 
-// numPoints must track len(Points); the package test pins the equality.
-const numPoints = 11
-
-var pointIndex = func() map[Point]int {
-	m := make(map[Point]int, len(Points))
-	for i, p := range Points {
-		m[p] = i
+// String returns the point's name in the plan grammar.
+func (pt Point) String() string {
+	if pt < numPoints {
+		return pointNames[pt]
 	}
-	return m
-}()
+	return "fault.Point(" + strconv.Itoa(int(pt)) + ")"
+}
+
+// pointNamed resolves a plan-grammar name.
+func pointNamed(name string) (Point, bool) {
+	for i, n := range pointNames {
+		if n == name {
+			return Point(i), true
+		}
+	}
+	return 0, false
+}
 
 // Rule configures one point. Exactly one trigger must be set: Prob fires
 // each draw with that probability, Every fires deterministically on every
 // N-th draw (the reproducible-count workhorse). Min/Max bound the injected
 // duration for delay-shaped points; points without a duration ignore them.
+// Workers, when positive, arms the rule only on workers (or connections)
+// with index below it — Figure 9's single victim thread is workers=1.
 type Rule struct {
 	Prob     float64
 	Every    uint64
 	Min, Max time.Duration
+	Workers  int
 }
 
 func (r Rule) validate(pt Point) error {
@@ -116,6 +147,8 @@ func (r Rule) validate(pt Point) error {
 		return fmt.Errorf("fault: %s: needs p=<prob> or every=<n>", pt)
 	case r.Min < 0 || r.Max < r.Min:
 		return fmt.Errorf("fault: %s: bad duration range [%v,%v]", pt, r.Min, r.Max)
+	case r.Workers < 0:
+		return fmt.Errorf("fault: %s: workers=%d is negative", pt, r.Workers)
 	}
 	return nil
 }
@@ -137,8 +170,8 @@ func NewPlan(seed uint64) *Plan {
 // on an invalid rule or unknown point — plans are built by code or by
 // ParsePlan, both of which must not produce invalid schedules.
 func (p *Plan) Set(pt Point, r Rule) *Plan {
-	if _, ok := pointIndex[pt]; !ok {
-		panic(fmt.Sprintf("fault: unknown point %q", pt))
+	if pt >= numPoints {
+		panic(fmt.Sprintf("fault: unknown point %v", pt))
 	}
 	if err := r.validate(pt); err != nil {
 		panic(err)
@@ -187,7 +220,7 @@ func (p *Plan) String() string {
 	for _, pt := range p.Active() {
 		r := p.rules[pt]
 		b.WriteByte(';')
-		b.WriteString(string(pt))
+		b.WriteString(pt.String())
 		b.WriteByte(':')
 		if r.Every > 0 {
 			fmt.Fprintf(&b, "every=%d", r.Every)
@@ -196,6 +229,9 @@ func (p *Plan) String() string {
 		}
 		if r.Max > 0 {
 			fmt.Fprintf(&b, ",min=%v,max=%v", r.Min, r.Max)
+		}
+		if r.Workers > 0 {
+			fmt.Fprintf(&b, ",workers=%d", r.Workers)
 		}
 	}
 	return b.String()
@@ -207,8 +243,9 @@ func (p *Plan) String() string {
 //
 // Segments are ';'-separated. "seed=N" may appear anywhere (default 1).
 // Every other segment is point:key=value[,key=value...] with keys p
-// (probability), every (fire each N-th draw; exclusive with p), and
-// min/max (Go durations). The shorthands "" and "off" mean no plan
+// (probability), every (fire each N-th draw; exclusive with p), min/max
+// (Go durations) and workers (arm only workers 0..N-1; 0 or absent means
+// every worker). The shorthands "" and "off" mean no plan
 // (nil, nil); "chaos" or "chaos:seed=N" is the standard battery schedule
 // (ChaosPlan). Unknown points and malformed rules are errors.
 func ParsePlan(spec string) (*Plan, error) {
@@ -244,8 +281,8 @@ func ParsePlan(spec string) (*Plan, error) {
 		if !ok {
 			return nil, fmt.Errorf("fault: segment %q is not point:key=value[,...]", seg)
 		}
-		pt := Point(strings.TrimSpace(name))
-		if _, known := pointIndex[pt]; !known {
+		pt, known := pointNamed(strings.TrimSpace(name))
+		if !known {
 			return nil, fmt.Errorf("fault: unknown point %q (known: %v)", name, Points)
 		}
 		var r Rule
@@ -264,6 +301,8 @@ func ParsePlan(spec string) (*Plan, error) {
 				r.Min, err = time.ParseDuration(v)
 			case "max":
 				r.Max, err = time.ParseDuration(v)
+			case "workers":
+				r.Workers, err = strconv.Atoi(v)
 			default:
 				err = fmt.Errorf("unknown key %q", k)
 			}
@@ -298,8 +337,26 @@ func ChaosPlan(seed uint64) *Plan {
 		Set(GuardFail, Rule{Prob: 0.25}).
 		Set(RetireDelay, Rule{Prob: 0.02, Min: time.Microsecond, Max: 10 * time.Microsecond}).
 		Set(EBRStall, Rule{Every: 7, Min: 50 * time.Microsecond, Max: 500 * time.Microsecond}).
-		Set(EBRAbandon, Rule{Every: 11})
+		Set(EBRAbandon, Rule{Every: 11}).
+		Set(HTMAbort, Rule{Prob: 0.05, Min: time.Microsecond, Max: 20 * time.Microsecond})
 }
+
+// The paper's §5.4 adversaries as plan specs — what cmd/figures, the
+// Figure 9 / Table 2–3 benchmarks and `csdsbench -fault` run. The paper's
+// interrupts fire per *update*; cs.delay and htm.abort are drawn per
+// write phase (per speculative commit), and on the paper's half-full
+// steady state about half of all updates write, so the rates are doubled.
+const (
+	// PaperVictim is Figure 9: one worker "delayed for a random interval
+	// between 1000 and 100000 ns every 10 updates, while holding locks".
+	PaperVictim = "cs.delay:every=5,min=1us,max=100us,workers=1"
+	// Multiprogram is Tables 2–3: rare context switches of 50–500 µs on
+	// every worker. Under plain locks the switch lands inside the write
+	// phase (cs.delay, locks held); elided bodies never call InCS, so
+	// under elision only htm.abort is drawn and the descheduled worker
+	// holds no lock.
+	Multiprogram = "htm.abort:p=0.001,min=50us,max=500us;cs.delay:p=0.001,min=50us,max=500us"
+)
 
 // Tally counts firings per point, shared by all of a run's injectors.
 // All methods are safe for concurrent use.
@@ -312,7 +369,7 @@ func NewTally() *Tally { return &Tally{} }
 
 func (t *Tally) add(pt Point) {
 	if t != nil {
-		t.counts[pointIndex[pt]].Add(1)
+		t.counts[pt].Add(1)
 	}
 }
 
@@ -321,7 +378,7 @@ func (t *Tally) Count(pt Point) uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.counts[pointIndex[pt]].Load()
+	return t.counts[pt].Load()
 }
 
 // Total returns the firing count summed over all points.
@@ -339,8 +396,8 @@ func (t *Tally) Total() uint64 {
 func (t *Tally) Snapshot() map[Point]uint64 {
 	out := make(map[Point]uint64)
 	if t != nil {
-		for i, pt := range Points {
-			if n := t.counts[i].Load(); n > 0 {
+		for _, pt := range Points {
+			if n := t.counts[pt].Load(); n > 0 {
 				out[pt] = n
 			}
 		}
@@ -348,22 +405,17 @@ func (t *Tally) Snapshot() map[Point]uint64 {
 	return out
 }
 
-// String renders the nonzero counts in canonical order:
-// "op.delay=12 conn.drop=3". Empty tally renders "none".
+// String renders the nonzero counts sorted by point name:
+// "conn.drop=3 op.delay=12". Empty tally renders "none".
 func (t *Tally) String() string {
-	snap := t.Snapshot()
-	if len(snap) == 0 {
+	var parts []string
+	for pt, n := range t.Snapshot() {
+		parts = append(parts, fmt.Sprintf("%s=%d", pt, n))
+	}
+	if len(parts) == 0 {
 		return "none"
 	}
-	keys := make([]string, 0, len(snap))
-	for pt := range snap {
-		keys = append(keys, string(pt))
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s=%d", k, snap[Point(k)]))
-	}
+	sort.Strings(parts)
 	return strings.Join(parts, " ")
 }
 
@@ -388,21 +440,22 @@ type injPoint struct {
 // NewInjector builds worker w's injector for plan. The stream for each
 // point mixes the plan seed, the point's canonical index, and the worker
 // index, so adding a point to a plan does not shift any other point's
-// stream. tally may be nil (no counting); a nil plan returns nil.
+// stream. A rule with Workers > 0 stays disarmed on workers at or above
+// it. tally may be nil (no counting); a nil plan returns nil.
 func NewInjector(plan *Plan, worker uint64, tally *Tally) *Injector {
 	if plan == nil {
 		return nil
 	}
 	in := &Injector{tally: tally}
-	for i, pt := range Points {
+	for _, pt := range Points {
 		r, ok := plan.rules[pt]
-		if !ok {
+		if !ok || (r.Workers > 0 && worker >= uint64(r.Workers)) {
 			continue
 		}
 		seed := plan.Seed
-		seed ^= (uint64(i) + 1) * 0x9e3779b97f4a7c15
+		seed ^= (uint64(pt) + 1) * 0x9e3779b97f4a7c15
 		seed ^= (worker + 1) * 0xbf58476d1ce4e5b9
-		in.pts[i] = injPoint{armed: true, rule: r, rng: xrand.New(seed | 1)}
+		in.pts[pt] = injPoint{armed: true, rule: r, rng: xrand.New(seed | 1)}
 	}
 	return in
 }
@@ -413,7 +466,7 @@ func (in *Injector) Fire(pt Point) bool {
 	if in == nil {
 		return false
 	}
-	p := &in.pts[pointIndex[pt]]
+	p := &in.pts[pt]
 	if !p.armed {
 		return false
 	}
@@ -439,7 +492,7 @@ func (in *Injector) Duration(pt Point) time.Duration {
 	if in == nil {
 		return 0
 	}
-	p := &in.pts[pointIndex[pt]]
+	p := &in.pts[pt]
 	if !p.armed || p.rule.Max <= 0 {
 		return 0
 	}
@@ -460,9 +513,10 @@ func (in *Injector) Delay(pt Point) bool {
 	return true
 }
 
-// Spin busy-waits for about d, yielding the processor each iteration —
-// the same adversary shape as interrupt.Spin: the goroutine stays
-// runnable (and keeps holding whatever it holds) instead of parking.
+// Spin busy-waits for about d, yielding the processor each iteration: the
+// goroutine stays runnable (and keeps holding whatever it holds) instead
+// of parking — time.Sleep's floor is too coarse for Figure 9's
+// microsecond delays.
 func Spin(d time.Duration) {
 	if d <= 0 {
 		return

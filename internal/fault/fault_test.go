@@ -7,8 +7,37 @@ import (
 )
 
 func TestNumPointsPinned(t *testing.T) {
-	if len(Points) != numPoints {
-		t.Fatalf("numPoints const is %d but Points has %d entries", numPoints, len(Points))
+	if len(Points) != numPoints || numPoints != 12 {
+		t.Fatalf("numPoints const is %d but Points has %d entries (want 12)", numPoints, len(Points))
+	}
+}
+
+// TestPointNamesRoundTrip: every point's value is its canonical index and
+// its name parses back to it; no two points share a name, and a value
+// outside the set never aliases a real point.
+func TestPointNamesRoundTrip(t *testing.T) {
+	seen := map[string]bool{}
+	for i, pt := range Points {
+		if int(pt) != i {
+			t.Fatalf("Points[%d] = %d: values must equal canonical order", i, pt)
+		}
+		name := pt.String()
+		if seen[name] {
+			t.Fatalf("duplicate point name %q", name)
+		}
+		seen[name] = true
+		if back, ok := pointNamed(name); !ok || back != pt {
+			t.Fatalf("%q parses to %v, %v; want %v", name, back, ok, pt)
+		}
+		if p, err := ParsePlan(name + ":every=3"); err != nil || !p.Enabled(pt) {
+			t.Fatalf("ParsePlan(%s:every=3) = %v, %v", name, p, err)
+		}
+	}
+	if got := Point(numPoints).String(); seen[got] {
+		t.Fatalf("out-of-range point renders as the real point %q", got)
+	}
+	if HTMAbort != Point(numPoints-1) {
+		t.Fatal("htm.abort must stay last: appending keeps every earlier point's stream seed")
 	}
 }
 
@@ -17,6 +46,9 @@ func TestParsePlanRoundTrip(t *testing.T) {
 		"seed=42;op.delay:p=0.02,min=1µs,max=50µs",
 		"seed=7;conn.drop:every=500;handler.panic:every=9",
 		"seed=1;guard.fail:p=0.25;ebr.stall:every=7,min=50µs,max=500µs",
+		"seed=3;cs.delay:every=5,min=1µs,max=100µs,workers=1;htm.abort:p=0.001,workers=4",
+		PaperVictim,
+		Multiprogram,
 	}
 	for _, spec := range specs {
 		p, err := ParsePlan(spec)
@@ -68,6 +100,9 @@ func TestParsePlanRejects(t *testing.T) {
 		"seed=1;op.delay:frequency=3",     // unknown key
 		"seed=x;op.delay:p=0.5",           // bad seed
 		"op.delay",                        // no rule at all
+		"seed=1;op.delay:p=0",             // a zero rate schedules nothing
+		"seed=1;cs.delay:every=5,workers=-1",
+		"seed=1;cs.delay:every=5,workers=x",
 	}
 	for _, spec := range bad {
 		if _, err := ParsePlan(spec); err == nil {
@@ -147,13 +182,88 @@ func TestNilInjectorNeverFires(t *testing.T) {
 }
 
 func TestDurationBounds(t *testing.T) {
-	plan, _ := ParsePlan("seed=2;op.delay:p=1,min=3us,max=9us")
+	plan, _ := ParsePlan("seed=2;op.delay:p=1,min=3us,max=9us;cs.delay:p=1,min=4us")
 	in := NewInjector(plan, 1, nil)
 	for i := 0; i < 200; i++ {
 		d := in.Duration(OpDelay)
 		if d < 3*time.Microsecond || d > 9*time.Microsecond {
 			t.Fatalf("duration %v outside [3us,9us]", d)
 		}
+		// min alone is a degenerate range: exactly min, every draw.
+		if d := in.Duration(CSDelay); d != 4*time.Microsecond {
+			t.Fatalf("degenerate range drew %v, want 4us", d)
+		}
+	}
+}
+
+func TestProbabilityRate(t *testing.T) {
+	plan, _ := ParsePlan("seed=4;cs.delay:p=0.25")
+	in := NewInjector(plan, 0, nil)
+	const n = 40000
+	fired := 0
+	for i := 0; i < n; i++ {
+		if in.Fire(CSDelay) {
+			fired++
+		}
+	}
+	if got := float64(fired) / n; got < 0.22 || got > 0.28 {
+		t.Fatalf("p=0.25 fired at rate %f", got)
+	}
+}
+
+// TestWorkersGate: a workers=N rule is armed on workers 0..N-1 only —
+// Figure 9's single victim is workers=1 — and other points stay armed
+// on every worker.
+func TestWorkersGate(t *testing.T) {
+	plan, err := ParsePlan("cs.delay:every=1,workers=3;op.delay:every=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := uint64(0); w < 5; w++ {
+		in := NewInjector(plan, w, nil)
+		if got, want := in.Fire(CSDelay), w < 3; got != want {
+			t.Fatalf("worker %d: cs.delay fired=%v, want %v", w, got, want)
+		}
+		if !in.Fire(OpDelay) {
+			t.Fatalf("worker %d: ungated op.delay did not fire", w)
+		}
+	}
+}
+
+// TestPaperPlans pins the paper's adversaries as plans (§5.4): Figure 9's
+// victim is worker 0 alone, delayed 1–100µs on every 5th write phase
+// (≈ every 10th update on a half-full structure); Tables 2–3 switch any
+// worker out for 50–500µs, at commit under elision and inside the write
+// phase under locks.
+func TestPaperPlans(t *testing.T) {
+	victim, err := ParsePlan(PaperVictim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Rule{Every: 5, Min: time.Microsecond, Max: 100 * time.Microsecond, Workers: 1}
+	if r, _ := victim.Rule(CSDelay); r != want || len(victim.Active()) != 1 {
+		t.Fatalf("PaperVictim = %s, want only cs.delay %+v", victim, want)
+	}
+	mp, err := ParsePlan(Multiprogram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = Rule{Prob: 0.001, Min: 50 * time.Microsecond, Max: 500 * time.Microsecond}
+	for _, pt := range []Point{HTMAbort, CSDelay} {
+		if r, _ := mp.Rule(pt); r != want {
+			t.Fatalf("Multiprogram %s = %+v, want %+v", pt, r, want)
+		}
+	}
+	if len(mp.Active()) != 2 {
+		t.Fatalf("Multiprogram schedules %v, want htm.abort and cs.delay", mp.Active())
+	}
+}
+
+func TestSpinWaitsApproximately(t *testing.T) {
+	start := time.Now()
+	Spin(200 * time.Microsecond)
+	if el := time.Since(start); el < 200*time.Microsecond {
+		t.Fatalf("Spin returned early: %v", el)
 	}
 }
 

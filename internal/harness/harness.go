@@ -23,8 +23,6 @@ import (
 	"csds/internal/core"
 	"csds/internal/ebr"
 	"csds/internal/fault"
-	"csds/internal/htm"
-	"csds/internal/interrupt"
 	"csds/internal/stats"
 	"csds/internal/workload"
 	"csds/internal/xrand"
@@ -60,21 +58,15 @@ type Config struct {
 	CacheTTL       time.Duration
 	CacheAdmission string
 
-	// DelayedThreads is how many workers run the Figure 9 victim plan
-	// (delays while holding locks).
-	DelayedThreads int
-	DelayPlan      interrupt.DelayPlan
-
-	// SwitchPlan, when non-nil on a run, subjects every worker to
-	// multiprogramming-style context switches (Tables 2–3).
-	SwitchPlan *interrupt.SwitchPlan
-
-	// Fault, when non-nil, arms the chaos plane (internal/fault) for the
+	// Fault, when non-nil, arms the fault plane (internal/fault) for the
 	// run: every worker gets a deterministic per-worker injector wired
 	// into its context (operation delays, critical-section delays,
-	// forced guard failures, delayed retire callbacks), and — with EBR
-	// on — a reclamation antagonist stalls and abandons records for the
-	// plan's ebr.* points. Firing counts land in Result.FaultFires.
+	// speculative aborts, forced guard failures, delayed retire
+	// callbacks), and — with EBR on — a reclamation antagonist stalls and
+	// abandons records for the plan's ebr.* points. The paper's §5.4
+	// adversaries are plans too (fault.PaperVictim for Figure 9,
+	// fault.Multiprogram for Tables 2–3). Firing counts land in
+	// Result.FaultFires.
 	Fault *fault.Plan
 
 	// ResizeSteps schedules explicit width changes at fixed offsets into
@@ -256,7 +248,7 @@ type Result struct {
 	FinalWidth int           // partition width at the end of the last run
 	WidthTrace []WidthSample // width-over-time trace of the last run
 
-	// Chaos plane (set when Config.Fault armed a plan): injected-fault
+	// Fault plane (set when Config.Fault armed a plan): injected-fault
 	// firing counts per point, summed over runs, and their total.
 	FaultFires map[fault.Point]uint64
 	Faults     uint64
@@ -284,6 +276,31 @@ func Run(cfg Config) (Result, error) {
 		agg.accumulate(&res, cfg.Runs)
 	}
 	return agg, nil
+}
+
+// PaperPlan parses one of the paper's §5.4 adversaries (the constants
+// fault.PaperVictim and fault.Multiprogram; any other spec that fails to
+// parse is a programming error and panics) for algorithm alg. The paper
+// fires them per update; the plans draw per write phase (cs.delay) and
+// per speculative commit (htm.abort), which list/lazy, skiplist/herlihy
+// and bst/tk reach on the ≈ half of updates that write. hashtable/lazy
+// takes its bucket lock — and reaches its commit point — before its
+// membership check, so on every update: its rates are halved to keep the
+// paper's per-update rate.
+func PaperPlan(spec, alg string) *fault.Plan {
+	p, err := fault.ParsePlan(spec)
+	if err != nil {
+		panic(err)
+	}
+	if alg == "hashtable/lazy" {
+		for _, pt := range p.Active() {
+			r, _ := p.Rule(pt)
+			r.Prob /= 2
+			r.Every *= 2
+			p.Set(pt, r)
+		}
+	}
+	return p
 }
 
 // Accumulate folds one run's Result into the receiver as 1/runs of the
@@ -447,7 +464,7 @@ func runOnce(cfg Config, newSet func(core.Options) core.Set, round uint64) (Resu
 		go func(w int) {
 			defer done.Done()
 			rng := xrand.New(cfg.Seed ^ (uint64(w)+1)*0x9e3779b97f4a7c15 ^ round<<32)
-			c := &core.Ctx{ID: w, Rng: rng, Stats: &ths[w], Doom: &htm.Doom{}}
+			c := &core.Ctx{ID: w, Rng: rng, Stats: &ths[w], Fault: fault.NewInjector(cfg.Fault, uint64(w), tally)}
 			if dom != nil {
 				c.Epoch = dom.Register()
 				// Deferred, not tail-called: a worker that panics (or
@@ -462,37 +479,6 @@ func runOnce(cfg Config, newSet func(core.Options) core.Set, round uint64) (Resu
 					ths[w].Reclaims = c.Epoch.Reclaimed
 				}()
 			}
-			inj := interrupt.NewInjector(cfg.Seed + uint64(w) + round)
-			if w < cfg.DelayedThreads {
-				dp := cfg.DelayPlan
-				inj.Delay = &dp
-			}
-			if cfg.SwitchPlan != nil {
-				sp := *cfg.SwitchPlan
-				inj.Switch = &sp
-			}
-			inj.Doom = c.Doom
-			inj.Elided = cfg.ElideAttempts > 0
-			if inj.Delay != nil || inj.Switch != nil {
-				c.CSHook = inj.CSHook
-			}
-			// Chaos plane: the fault injector's per-worker stream rides
-			// alongside the interrupt injector — interrupts model scheduler
-			// hostility, faults model everything else (forced guard
-			// failures, delayed retires, scheduled stalls). The CS hooks
-			// chain so both planes can fire inside one critical section.
-			var fin *fault.Injector
-			if cfg.Fault != nil {
-				fin = fault.NewInjector(cfg.Fault, uint64(w), tally)
-				c.Fault = fin
-				prev := c.CSHook
-				if prev == nil {
-					c.CSHook = func() { fin.Delay(fault.CSDelay) }
-				} else {
-					c.CSHook = func() { prev(); fin.Delay(fault.CSDelay) }
-				}
-			}
-
 			// Reusable batch buffers: grown to the largest batch drawn so
 			// far and refilled in place, so steady-state batch issue costs
 			// zero allocations in the measurement loop.
@@ -526,11 +512,9 @@ func runOnce(cfg Config, newSet func(core.Options) core.Set, round uint64) (Resu
 					_, hit := s.Get(c, k)
 					c.Stats.RecordRead(hit)
 				case workload.OpPut:
-					inj.OnUpdate()
 					ok := s.Put(c, k, core.Value(k))
 					c.Stats.RecordInsert(ok)
 				case workload.OpRemove:
-					inj.OnUpdate()
 					ok := s.Remove(c, k)
 					c.Stats.RecordRemove(ok)
 				case workload.OpScan:
@@ -585,7 +569,6 @@ func runOnce(cfg Config, newSet func(core.Options) core.Set, round uint64) (Resu
 						batcher.MultiGet(c, keyBuf, func(int, core.Value, bool) {})
 						c.Stats.RecordBatch(n, uint64(time.Since(batchStart)))
 					case workload.OpMultiPut:
-						inj.OnUpdate()
 						pairBuf = pairBuf[:0]
 						for i := 0; i < n; i++ {
 							bk := gen.KeyAt(rng, phase)
@@ -595,7 +578,6 @@ func runOnce(cfg Config, newSet func(core.Options) core.Set, round uint64) (Resu
 						batcher.MultiPut(c, pairBuf, func(int, bool) {})
 						c.Stats.RecordBatch(n, uint64(time.Since(batchStart)))
 					default: // workload.OpMultiRemove
-						inj.OnUpdate()
 						keyBuf = keyBuf[:0]
 						for i := 0; i < n; i++ {
 							keyBuf = append(keyBuf, gen.KeyAt(rng, phase))
@@ -620,8 +602,7 @@ func runOnce(cfg Config, newSet func(core.Options) core.Set, round uint64) (Resu
 						time.Sleep(time.Duration(tn))
 					}
 				}
-				inj.BetweenOps()
-				fin.Delay(fault.OpDelay)
+				c.Fault.Delay(fault.OpDelay)
 			}
 			ths[w].ActiveNs = uint64(time.Since(t0))
 		}(w)

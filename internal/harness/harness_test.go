@@ -2,11 +2,12 @@ package harness
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"csds/internal/core"
-	"csds/internal/interrupt"
+	"csds/internal/fault"
 	"csds/internal/stats"
 	"csds/internal/workload"
 
@@ -445,29 +446,137 @@ func TestEBRRun(t *testing.T) {
 	}
 }
 
-func TestDelayedThreadRun(t *testing.T) {
-	cfg := quick("list/lazy")
-	cfg.DelayedThreads = 1
-	cfg.DelayPlan = interrupt.PaperDelayPlan()
-	cfg.Workload.UpdateRatio = 0.5
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalOps == 0 {
-		t.Fatal("no ops with delayed thread")
+// runUntil runs cfg, doubling its window while enough reports false: a
+// fault firing once in N draws needs a few N draws, which a loaded or
+// race-instrumented host may not reach in the first window. A one-second
+// window that is still not enough fails the test.
+func runUntil(t *testing.T, cfg Config, enough func(Result) bool) Result {
+	t.Helper()
+	for {
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if enough(res) {
+			return res
+		}
+		if cfg.Duration >= time.Second {
+			t.Fatalf("%s under %s: not enough after a %v window (fired %v)", cfg.Algorithm, cfg.Fault, cfg.Duration, res.FaultFires)
+		}
+		cfg.Duration *= 2
 	}
 }
 
-func TestSwitchPlanRun(t *testing.T) {
-	cfg := quick("hashtable/lazy")
-	cfg.SwitchPlan = &interrupt.SwitchPlan{Rate: 0.01, MinOff: 10 * time.Microsecond, MaxOff: 50 * time.Microsecond}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestDelayedThreadRun runs Figure 9's plan on every featured leaf: each
+// leaf's write phase must reach Ctx.InCS, so the victim's cs.delay fires,
+// and nothing but cs.delay is drawn.
+func TestDelayedThreadRun(t *testing.T) {
+	for _, alg := range []string{"list/lazy", "skiplist/herlihy", "hashtable/lazy", "bst/tk"} {
+		cfg := quick(alg)
+		cfg.Workload.UpdateRatio = 0.5
+		cfg.Fault = PaperPlan(fault.PaperVictim, alg)
+		res := runUntil(t, cfg, func(r Result) bool { return r.FaultFires[fault.CSDelay] > 0 })
+		if res.Faults != res.FaultFires[fault.CSDelay] {
+			t.Fatalf("%s: victim plan fired %v, want cs.delay only", alg, res.FaultFires)
+		}
 	}
-	if res.TotalOps == 0 {
-		t.Fatal("no ops under switch plan")
+}
+
+// tallied wraps a leaf and counts each worker's updates and write phases
+// (updates that changed the set), so a test can hold the fault tally
+// against one worker's own operations. The pre-fill context carries no
+// stats slot and is not counted.
+type tallied struct {
+	core.Set
+	updates, writes [8]atomic.Uint64
+}
+
+// lastTallied is the instance the latest Run built.
+var lastTallied *tallied
+
+func init() {
+	for _, leaf := range []string{"list/lazy", "hashtable/lazy"} {
+		f, err := core.NewFactory(leaf)
+		if err != nil {
+			panic(err)
+		}
+		core.Register(core.Info{Name: "tallied/" + leaf, New: func(o core.Options) core.Set {
+			lastTallied = &tallied{Set: f(o)}
+			return lastTallied
+		}})
+	}
+}
+
+func (s *tallied) count(c *core.Ctx, wrote bool) {
+	if c.Stats != nil {
+		s.updates[c.ID].Add(1)
+		if wrote {
+			s.writes[c.ID].Add(1)
+		}
+	}
+}
+
+func (s *tallied) Put(c *core.Ctx, k core.Key, v core.Value) bool {
+	ok := s.Set.Put(c, k, v)
+	s.count(c, ok)
+	return ok
+}
+
+func (s *tallied) Remove(c *core.Ctx, k core.Key) bool {
+	ok := s.Set.Remove(c, k)
+	s.count(c, ok)
+	return ok
+}
+
+// TestFaultPaperVictim holds Figure 9's plan to the paper's adversary:
+// only worker 0 is delayed, on every N-th critical section exactly, which
+// is one delay per 10 of its updates (±30 %). list/lazy enters its
+// critical section only on the ≈ half of updates that write (N = 5);
+// hashtable/lazy locks on every update (N = 10, PaperPlan's halving).
+func TestFaultPaperVictim(t *testing.T) {
+	for _, leaf := range []string{"list/lazy", "hashtable/lazy"} {
+		cfg := quick("tallied/" + leaf)
+		cfg.Workload.UpdateRatio = 0.5
+		cfg.Fault = PaperPlan(fault.PaperVictim, leaf)
+		res := runUntil(t, cfg, func(Result) bool { return lastTallied.updates[0].Load() >= 200 })
+		fires, updates := res.FaultFires[fault.CSDelay], lastTallied.updates[0].Load()
+		phases, every := lastTallied.writes[0].Load(), uint64(5)
+		if leaf == "hashtable/lazy" {
+			phases, every = updates, 10
+		}
+		// Exact: every=N counts worker 0's draws; a single firing on any
+		// other worker would break the equality.
+		if fires != phases/every {
+			t.Fatalf("%s: cs.delay fired %d times for worker 0's %d critical sections (every %d): some other worker fired",
+				leaf, fires, phases, every)
+		}
+		if rate := float64(fires) / float64(updates); rate < 0.07 || rate > 0.13 {
+			t.Fatalf("%s: %d delays over worker 0's %d updates = %.3f per update, want 0.1 ± 30 %%", leaf, fires, updates, rate)
+		}
+	}
+}
+
+// TestFaultMultiprogram runs Tables 2–3's plan both ways: under elision
+// the switches land at the speculative commit point (htm.abort → recorded
+// interrupt aborts) and never inside a critical section; under plain
+// locks they land inside the write phase (cs.delay) and nothing is
+// speculated.
+func TestFaultMultiprogram(t *testing.T) {
+	for _, elide := range []int{5, 0} {
+		cfg := quick("skiplist/herlihy")
+		cfg.Workload.UpdateRatio = 1
+		cfg.ElideAttempts = elide
+		cfg.Fault = PaperPlan(fault.Multiprogram, cfg.Algorithm)
+		want := fault.CSDelay
+		if elide > 0 {
+			want = fault.HTMAbort
+		}
+		res := runUntil(t, cfg, func(r Result) bool { return r.FaultFires[want] > 0 })
+		aborts := res.TxAborts[stats.AbortInterrupt]
+		if res.Faults != res.FaultFires[want] || (elide > 0) != (aborts > 0) || (elide > 0 && aborts != res.Faults) {
+			t.Fatalf("elide=%d: %d interrupt aborts, fires %v; want %s only, one interrupt abort per htm.abort",
+				elide, aborts, res.FaultFires, want)
+		}
 	}
 }
 

@@ -16,6 +16,15 @@ func TestLazyChaos(t *testing.T) {
 	settest.RunChaos(t, func(o core.Options) core.Set { return NewLazy(o) })
 }
 
+// TestLazyChaosElided: the battery with lock elision on, so htm.abort
+// drives the abort → retry → fallback path (see list.TestLazyChaosElided).
+func TestLazyChaosElided(t *testing.T) {
+	settest.RunChaos(t, func(o core.Options) core.Set {
+		o.ElideAttempts = 5
+		return NewLazy(o)
+	})
+}
+
 func TestLazySmallTableChaos(t *testing.T) {
 	settest.RunChaos(t, func(o core.Options) core.Set {
 		o.Buckets = 2

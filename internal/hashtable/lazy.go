@@ -111,7 +111,7 @@ func (h *Lazy) Put(c *core.Ctx, k core.Key, v core.Value) bool {
 	b := &h.buckets[hash(k, h.mask)]
 	if h.region.Attempts > 0 {
 		var inserted bool
-		h.region.Run(c.Stat(), doomOf(c), func(a *htm.Acq) htm.Status {
+		h.region.Run(c.Stat(), c.Injector(), func(a *htm.Acq) htm.Status {
 			if !a.Lock(&b.lock) {
 				return a.AbortStatus()
 			}
@@ -166,7 +166,7 @@ func (h *Lazy) Remove(c *core.Ctx, k core.Key) bool {
 	if h.region.Attempts > 0 {
 		var removed bool
 		var victim *lnode
-		h.region.Run(c.Stat(), doomOf(c), func(a *htm.Acq) htm.Status {
+		h.region.Run(c.Stat(), c.Injector(), func(a *htm.Acq) htm.Status {
 			if !a.Lock(&b.lock) {
 				return a.AbortStatus()
 			}
@@ -276,11 +276,4 @@ func (h *Lazy) CursorNext(c *core.Ctx, pos, hi core.Key, max int, f func(k core.
 	return core.GuardedPage(c, &h.guard, hi, max, func(emit func(k core.Key, v core.Value) bool) {
 		h.index.collect(pos, hi, emit)
 	}, f)
-}
-
-func doomOf(c *core.Ctx) *htm.Doom {
-	if c == nil {
-		return nil
-	}
-	return c.Doom
 }

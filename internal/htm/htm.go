@@ -9,11 +9,13 @@
 //     try-acquires them; any failure is a data conflict (in real HTM two
 //     write phases touching the same cache lines abort each other — here
 //     two write phases touching the same nodes fail each other's trylocks).
-//   - An injected interrupt (context switch, I/O — see internal/interrupt)
-//     dooms the in-flight speculation; the attempt releases everything it
-//     holds and aborts *before performing any writes*, so a descheduled
-//     thread never holds a lock. This mirrors TSX's abort-on-interrupt,
-//     which the paper turns from a limitation into the key feature.
+//   - An injected interrupt (context switch, I/O — the fault plane's
+//     htm.abort point, drawn once per attempt at Acq.Commit) aborts the
+//     in-flight speculation *before any write*; the attempt releases
+//     everything it holds and only then is the worker descheduled, so a
+//     descheduled thread never holds a lock. This mirrors TSX's
+//     abort-on-interrupt, which the paper turns from a limitation into
+//     the key feature.
 //   - After Attempts failed speculations the section falls back to the
 //     pessimistic path: blocking lock acquisition (the "actual locks",
 //     §5.4). Because speculators contend on the same per-node locks, a
@@ -28,7 +30,7 @@
 // The body of a critical section is written once and runs under either
 // mode through the Acq facade:
 //
-//	st := region.Run(th, doom, func(a *htm.Acq) htm.Status {
+//	st := region.Run(th, inj, func(a *htm.Acq) htm.Status {
 //	    if !a.Lock(&pred.lock) || !a.Lock(&curr.lock) {
 //	        return htm.Conflict
 //	    }
@@ -44,8 +46,7 @@
 package htm
 
 import (
-	"sync/atomic"
-
+	"csds/internal/fault"
 	"csds/internal/stats"
 )
 
@@ -92,22 +93,6 @@ type NodeLock interface {
 	Release()
 }
 
-// Doom is the abort flag an interrupt source raises to kill an in-flight
-// speculation (one per worker thread). The zero value is ready to use.
-type Doom struct {
-	flag atomic.Bool
-}
-
-// Arm raises the flag; the worker's current (or next) speculative attempt
-// will abort at its next check point.
-func (d *Doom) Arm() { d.flag.Store(true) }
-
-// disarm consumes the flag.
-func (d *Doom) disarm() bool { return d.flag.Swap(false) }
-
-// Armed reports the flag without consuming it.
-func (d *Doom) Armed() bool { return d.flag.Load() }
-
 // maxHeld is the emulated write-set capacity in locks. CSDS write phases
 // hold 1–3 (skip lists: one per level); beyond this the hardware analogue
 // would overflow its speculative buffer.
@@ -119,7 +104,7 @@ const maxHeld = 32
 type Acq struct {
 	spec   bool
 	th     *stats.Thread
-	doom   *Doom
+	inj    *fault.Injector
 	held   [maxHeld]NodeLock
 	nHeld  int
 	status Status
@@ -130,16 +115,12 @@ type Acq struct {
 func (a *Acq) Speculative() bool { return a.spec }
 
 // Lock acquires l under the current mode. It returns false iff the
-// speculative attempt must abort (conflict, interrupt, or capacity); the
-// body must then return immediately with htm.Conflict (or the value of
+// speculative attempt must abort (conflict or capacity); the body must
+// then return immediately with htm.Conflict (or the value of
 // a.AbortStatus() for precision — Run treats any non-Committed,
 // non-ValidateFail return as an abort and consults its own bookkeeping).
 func (a *Acq) Lock(l NodeLock) bool {
 	if a.spec {
-		if a.doom != nil && a.doom.Armed() {
-			a.status = Interrupted
-			return false
-		}
 		if a.nHeld >= maxHeld {
 			a.status = Capacity
 			return false
@@ -166,12 +147,14 @@ func (a *Acq) Lock(l NodeLock) bool {
 	return true
 }
 
-// Commit is the final interrupt check point, called after validation and
-// immediately before the body's writes. In pessimistic mode it always
-// returns true: a real lock holder completes its writes even if
-// descheduled (that is precisely the hazard the elided mode removes).
+// Commit is the interrupt point, called after validation and immediately
+// before the body's writes: a speculative attempt draws the fault plane's
+// htm.abort here, once, and aborts as Interrupted when it fires. In
+// pessimistic mode it always returns true: a real lock holder completes
+// its writes even if descheduled (that is precisely the hazard the elided
+// mode removes).
 func (a *Acq) Commit() bool {
-	if a.spec && a.doom != nil && a.doom.Armed() {
+	if a.spec && a.inj.Fire(fault.HTMAbort) {
 		a.status = Interrupted
 		return false
 	}
@@ -200,47 +183,16 @@ type Region struct {
 }
 
 // Run executes body as an elided critical section on behalf of the worker
-// owning th and doom (both may be nil: no stats, no interrupts). It returns
+// owning th and inj (both may be nil: no stats, no interrupts). It returns
 // Committed or ValidateFail; all abort handling and retrying happens
 // inside. Locks acquired through the Acq are always released before Run
 // returns.
-func (r *Region) Run(th *stats.Thread, doom *Doom, body func(*Acq) Status) Status {
+func (r *Region) Run(th *stats.Thread, inj *fault.Injector, body func(*Acq) Status) Status {
 	for attempt := 0; attempt < r.Attempts; attempt++ {
-		a := Acq{spec: true, th: th, doom: doom}
-		if th != nil {
-			th.RecordTxAttempt()
-		}
-		st := body(&a)
-		a.releaseAll()
-		switch st {
-		case Committed:
-			if th != nil {
-				th.RecordTxCommit()
-			}
-			return Committed
-		case ValidateFail:
-			// Not an abort: the operation itself is stale. Do not burn
-			// speculation budget bookkeeping beyond the attempt counter —
-			// the op restarts its parse phase and will come back.
-			if th != nil {
-				th.RecordTxCommit() // the speculation itself succeeded
-			}
-			return ValidateFail
-		case Conflict, Interrupted, Capacity:
-			// body may also return Conflict generically; trust the Acq's
-			// own record when it aborted a Lock/Commit call.
-			cause := st
-			if a.status != Committed {
-				cause = a.status
-			}
-			if th != nil {
-				th.RecordTxAbort(abortCause(cause))
-			}
-			if cause == Interrupted && doom != nil {
-				doom.disarm()
-			}
-		default:
-			panic("htm: body returned invalid status")
+		// ValidateFail is not an abort: the operation itself is stale and
+		// restarts its parse phase, so it returns without burning budget.
+		if st := speculate(th, inj, body); st == Committed || st == ValidateFail {
+			return st
 		}
 	}
 	// Fallback: the pessimistic path with the real locks.
@@ -257,47 +209,50 @@ func (r *Region) Run(th *stats.Thread, doom *Doom, body func(*Acq) Status) Statu
 }
 
 // Try executes body as a single one-shot speculative attempt: Lock
-// try-acquires, Commit checks the doom flag, and any abort releases
-// everything and reports false — no retries and no pessimistic
+// try-acquires, Commit draws the injected interrupt, and any abort
+// releases everything and reports false — no retries and no pessimistic
 // fallback. It exists for callers that have a *structural* fallback of
 // their own (e.g. a batched cache update that reverts to its per-key
 // locked loop): Try is the optimistic half of such a batch commit, so
 // the usual fallback-to-the-same-locks protocol of Region.Run does not
 // apply. Returns whether body committed; a ValidateFail also reports
 // false (the caller's fallback re-reads fresh state anyway).
-func Try(th *stats.Thread, doom *Doom, body func(*Acq) Status) bool {
-	a := Acq{spec: true, th: th, doom: doom}
+func Try(th *stats.Thread, inj *fault.Injector, body func(*Acq) Status) bool {
+	return speculate(th, inj, body) == Committed
+}
+
+// speculate runs one speculative attempt of body, releases its locks and
+// records its outcome. It returns Committed, ValidateFail, or the abort
+// cause. An interrupted attempt is descheduled for the drawn htm.abort
+// duration only after releaseAll: the worker is off CPU holding no lock.
+func speculate(th *stats.Thread, inj *fault.Injector, body func(*Acq) Status) Status {
+	a := Acq{spec: true, th: th, inj: inj}
 	if th != nil {
 		th.RecordTxAttempt()
 	}
 	st := body(&a)
 	a.releaseAll()
 	switch st {
-	case Committed:
-		if th != nil {
-			th.RecordTxCommit()
-		}
-		return true
-	case ValidateFail:
+	case Committed, ValidateFail:
 		if th != nil {
 			th.RecordTxCommit() // the speculation itself succeeded
 		}
-		return false
+		return st
 	case Conflict, Interrupted, Capacity:
-		cause := st
+		// body may also return Conflict generically; trust the Acq's own
+		// record when it aborted a Lock/Commit call.
 		if a.status != Committed {
-			cause = a.status
+			st = a.status
 		}
 		if th != nil {
-			th.RecordTxAbort(abortCause(cause))
+			th.RecordTxAbort(abortCause(st))
 		}
-		if cause == Interrupted && doom != nil {
-			doom.disarm()
+		if st == Interrupted {
+			fault.Spin(inj.Duration(fault.HTMAbort))
 		}
-		return false
-	default:
-		panic("htm: body returned invalid status")
+		return st
 	}
+	panic("htm: body returned invalid status")
 }
 
 func abortCause(s Status) stats.AbortCause {

@@ -5,15 +5,27 @@ import (
 	"testing"
 	"testing/quick"
 
+	"csds/internal/fault"
 	"csds/internal/locks"
 	"csds/internal/stats"
 )
 
+// interruptEvery is an htm.abort schedule firing on every n-th commit
+// draw; n == 0 means no interrupts (a nil plan).
+func interruptEvery(n uint8) *fault.Plan {
+	if n == 0 {
+		return nil
+	}
+	return fault.NewPlan(1).Set(fault.HTMAbort, fault.Rule{Every: uint64(n)})
+}
+
 // TestElisionExactnessProperty: for arbitrary worker/iteration/attempt
-// mixes with randomly armed dooms, mutual exclusion and lock hygiene must
-// hold: the protected counter is exact and no lock is left held.
+// mixes with injected interrupts (htm.abort on every armEvery-th commit),
+// mutual exclusion and lock hygiene must hold: the protected counter is
+// exact and no lock is left held.
 func TestElisionExactnessProperty(t *testing.T) {
 	prop := func(workersRaw, itersRaw, attemptsRaw uint8, armEvery uint8) bool {
+		plan := interruptEvery(armEvery)
 		workers := 1 + int(workersRaw)%6
 		iters := 50 + int(itersRaw)%400
 		attempts := int(attemptsRaw) % 7
@@ -25,13 +37,10 @@ func TestElisionExactnessProperty(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				var th stats.Thread
-				var d Doom
+				inj := fault.NewInjector(plan, uint64(w), nil)
 				r := Region{Attempts: attempts}
 				for i := 0; i < iters; i++ {
-					if armEvery > 0 && i%int(armEvery) == 0 {
-						d.Arm() // interrupt lands before/inside the txn
-					}
-					r.Run(&th, &d, func(a *Acq) Status {
+					r.Run(&th, inj, func(a *Acq) Status {
 						if !a.Lock(&l1) || !a.Lock(&l2) {
 							return a.AbortStatus()
 						}
@@ -60,13 +69,10 @@ func TestAccountingIdentityProperty(t *testing.T) {
 		attempts := 1 + int(attemptsRaw)%6
 		var l locks.TAS
 		var th stats.Thread
-		var d Doom
+		inj := fault.NewInjector(interruptEvery(armEvery), 0, nil)
 		r := Region{Attempts: attempts}
 		for i := 0; i < iters; i++ {
-			if armEvery > 0 && i%int(armEvery) == 0 {
-				d.Arm()
-			}
-			r.Run(&th, &d, func(a *Acq) Status {
+			r.Run(&th, inj, func(a *Acq) Status {
 				if !a.Lock(&l) {
 					return a.AbortStatus()
 				}

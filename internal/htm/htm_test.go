@@ -3,7 +3,9 @@ package htm
 import (
 	"sync"
 	"testing"
+	"time"
 
+	"csds/internal/fault"
 	"csds/internal/locks"
 	"csds/internal/stats"
 )
@@ -73,31 +75,74 @@ func TestConflictThenFallback(t *testing.T) {
 	}
 }
 
-func TestInterruptAborts(t *testing.T) {
-	var l locks.TAS
-	var th stats.Thread
-	var d Doom
-	d.Arm()
-	r := Region{Attempts: 2}
-	st := r.Run(&th, &d, func(a *Acq) Status {
-		if !a.Lock(&l) {
+// abortPlan builds worker 0's injector for an htm.abort schedule.
+func abortPlan(t *testing.T, spec string) (*fault.Injector, *fault.Tally) {
+	t.Helper()
+	plan, err := fault.ParsePlan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tally := fault.NewTally()
+	return fault.NewInjector(plan, 0, tally), tally
+}
+
+// spyLock timestamps every speculative acquisition and every release.
+type spyLock struct {
+	locks.TAS
+	acquired, released []time.Time
+}
+
+func (l *spyLock) TryAcquire(th *stats.Thread) bool {
+	ok := l.TAS.TryAcquire(th)
+	if ok {
+		l.acquired = append(l.acquired, time.Now())
+	}
+	return ok
+}
+
+func (l *spyLock) Release() {
+	l.released = append(l.released, time.Now())
+	l.TAS.Release()
+}
+
+// writeOnce is a one-lock body that counts the writes it performs after
+// a successful Commit.
+func writeOnce(l NodeLock, wrote *int) func(*Acq) Status {
+	return func(a *Acq) Status {
+		if !a.Lock(l) {
 			return a.AbortStatus()
 		}
 		if !a.Commit() {
-			return Interrupted
+			return a.AbortStatus()
 		}
+		*wrote++
 		return Committed
-	})
-	// First attempt aborts on the armed doom (which is then consumed),
-	// second attempt commits.
-	if st != Committed {
-		t.Fatalf("status = %v", st)
 	}
-	if th.TxAborts[stats.AbortInterrupt] != 1 {
-		t.Fatalf("interrupt aborts = %d, want 1", th.TxAborts[stats.AbortInterrupt])
+}
+
+func TestInterruptAborts(t *testing.T) {
+	// htm.abort:every=2 fires on the second commit draw: the first
+	// section commits, the second section's first attempt is interrupted
+	// and its second attempt commits.
+	inj, tally := abortPlan(t, "htm.abort:every=2")
+	var l locks.TAS
+	var th stats.Thread
+	r := Region{Attempts: 2}
+	wrote := 0
+	for i := 0; i < 2; i++ {
+		if st := r.Run(&th, inj, writeOnce(&l, &wrote)); st != Committed {
+			t.Fatalf("section %d: status = %v", i, st)
+		}
 	}
-	if d.Armed() {
-		t.Fatal("doom not consumed by the abort")
+	if wrote != 2 {
+		t.Fatalf("wrote %d times over two sections, want 2 (the interrupted attempt must not write)", wrote)
+	}
+	if th.TxAborts[stats.AbortInterrupt] != 1 || tally.Count(fault.HTMAbort) != 1 {
+		t.Fatalf("interrupt aborts = %d, htm.abort fires = %d; want 1 and 1",
+			th.TxAborts[stats.AbortInterrupt], tally.Count(fault.HTMAbort))
+	}
+	if th.TxAttempts != 3 || th.TxCommits != 2 || th.TxFallbacks != 0 {
+		t.Fatalf("tx accounting wrong: %+v", th)
 	}
 	if l.Held() {
 		t.Fatal("lock leaked by interrupted speculation")
@@ -105,33 +150,64 @@ func TestInterruptAborts(t *testing.T) {
 }
 
 func TestInterruptAtCommitPoint(t *testing.T) {
-	// Arm the doom after locks are taken, before Commit: the speculation
-	// must release and abort without writing.
-	var l locks.TAS
+	// The interrupt lands after the locks are taken, at the commit point:
+	// the attempt releases before the drawn 200µs deschedule, so the
+	// worker is off CPU holding no lock, and the retry re-acquires after.
+	inj, _ := abortPlan(t, "htm.abort:every=2,min=200us,max=200us")
+	var l spyLock
 	var th stats.Thread
-	var d Doom
 	r := Region{Attempts: 2}
 	wrote := 0
-	first := true
-	st := r.Run(&th, &d, func(a *Acq) Status {
-		if !a.Lock(&l) {
-			return a.AbortStatus()
-		}
-		if first {
-			first = false
-			d.Arm() // interrupt arrives while "in" the transaction
-		}
-		if !a.Commit() {
-			return Interrupted
-		}
-		wrote++
-		return Committed
-	})
-	if st != Committed || wrote != 1 {
+	r.Run(&th, inj, writeOnce(&l, &wrote)) // draw 1: commits
+	if st := r.Run(&th, inj, writeOnce(&l, &wrote)); st != Committed || wrote != 2 {
 		t.Fatalf("st=%v wrote=%d (writes must not happen in the aborted attempt)", st, wrote)
 	}
 	if th.TxAborts[stats.AbortInterrupt] != 1 {
 		t.Fatalf("interrupt abort not recorded: %+v", th)
+	}
+	if len(l.acquired) != 3 || len(l.released) != 3 {
+		t.Fatalf("acquired %d / released %d times, want 3 / 3", len(l.acquired), len(l.released))
+	}
+	if off := l.acquired[2].Sub(l.released[1]); off < 200*time.Microsecond {
+		t.Fatalf("retry re-acquired %v after the interrupted release; the 200µs deschedule must run with no lock held", off)
+	}
+}
+
+func TestInterruptEveryAttemptFallsBack(t *testing.T) {
+	// every=1 interrupts every speculative attempt: the budget runs out
+	// and the section completes on the pessimistic path, which never
+	// draws (a real lock holder finishes its writes).
+	inj, tally := abortPlan(t, "htm.abort:every=1")
+	var l locks.TAS
+	var th stats.Thread
+	r := Region{Attempts: 2}
+	wrote := 0
+	if st := r.Run(&th, inj, writeOnce(&l, &wrote)); st != Committed || wrote != 1 {
+		t.Fatalf("st=%v wrote=%d", st, wrote)
+	}
+	if th.TxAborts[stats.AbortInterrupt] != 2 || th.TxFallbacks != 1 || tally.Count(fault.HTMAbort) != 2 {
+		t.Fatalf("want 2 interrupt aborts, 2 fires and 1 fallback: %+v, fires %d", th, tally.Count(fault.HTMAbort))
+	}
+	if l.Held() {
+		t.Fatal("lock leaked by the fallback")
+	}
+}
+
+func TestTryInterrupted(t *testing.T) {
+	// Try is one speculative attempt: an interrupt reports false with
+	// nothing written and nothing held, for the caller's own fallback.
+	inj, _ := abortPlan(t, "htm.abort:every=1")
+	var l locks.TAS
+	var th stats.Thread
+	wrote := 0
+	if Try(&th, inj, writeOnce(&l, &wrote)) || wrote != 0 {
+		t.Fatalf("interrupted Try committed (wrote %d)", wrote)
+	}
+	if th.TxAborts[stats.AbortInterrupt] != 1 || l.Held() {
+		t.Fatalf("interrupted Try: %+v, lock held %v", th, l.Held())
+	}
+	if !Try(&th, nil, writeOnce(&l, &wrote)) || wrote != 1 {
+		t.Fatalf("uninterrupted Try did not commit (wrote %d)", wrote)
 	}
 }
 

@@ -17,6 +17,16 @@ func TestLazyChaos(t *testing.T) {
 	settest.RunChaos(t, func(o core.Options) core.Set { return NewLazy(o) })
 }
 
+// TestLazyChaosElided runs the battery with lock elision on, so the
+// chaos plan's htm.abort drives the abort → retry → pessimistic-fallback
+// path under the same ledger, poison and drain invariants.
+func TestLazyChaosElided(t *testing.T) {
+	settest.RunChaos(t, func(o core.Options) core.Set {
+		o.ElideAttempts = 5
+		return NewLazy(o)
+	})
+}
+
 func TestLockCouplingChaos(t *testing.T) {
 	settest.RunChaos(t, func(o core.Options) core.Set { return NewLockCoupling(o) })
 }

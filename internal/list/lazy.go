@@ -121,7 +121,7 @@ func (l *Lazy) putElided(c *core.Ctx, k core.Key, v core.Value) bool {
 	for {
 		pred, curr := l.search(k)
 		var inserted bool
-		st := l.region.Run(c.Stat(), doom(c), func(a *htm.Acq) htm.Status {
+		st := l.region.Run(c.Stat(), c.Injector(), func(a *htm.Acq) htm.Status {
 			if !a.Lock(&pred.lock) || !a.Lock(&curr.lock) {
 				return a.AbortStatus()
 			}
@@ -192,7 +192,7 @@ func (l *Lazy) removeElided(c *core.Ctx, k core.Key) bool {
 	for {
 		pred, curr := l.search(k)
 		var removed bool
-		st := l.region.Run(c.Stat(), doom(c), func(a *htm.Acq) htm.Status {
+		st := l.region.Run(c.Stat(), c.Injector(), func(a *htm.Acq) htm.Status {
 			if !a.Lock(&pred.lock) || !a.Lock(&curr.lock) {
 				return a.AbortStatus()
 			}
@@ -285,12 +285,4 @@ func (l *Lazy) CursorNext(c *core.Ctx, pos, hi core.Key, max int, f func(k core.
 			}
 		}
 	}, f)
-}
-
-// doom extracts the worker's HTM abort flag, tolerating nil contexts.
-func doom(c *core.Ctx) *htm.Doom {
-	if c == nil {
-		return nil
-	}
-	return c.Doom
 }

@@ -133,7 +133,6 @@ func runChaos(t *testing.T, f Factory, plan *fault.Plan) {
 			c.Epoch = dom.Register()
 			defer c.Epoch.Unregister()
 			c.Fault = inj
-			c.CSHook = func() { inj.Delay(fault.CSDelay) }
 			rng := xrand.New(uint64(w)*0x9e3779b97f4a7c15 + 3)
 			check := func(where string, k core.Key, v core.Value) bool {
 				if k == core.PoisonKey || v == core.PoisonValue {

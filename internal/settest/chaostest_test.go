@@ -26,7 +26,6 @@ func TestChaosTallyDeterministic(t *testing.T) {
 		scanner := s.(core.Scanner)
 		c := core.NewCtx(0)
 		c.Fault = fault.NewInjector(plan, 0, tally)
-		c.CSHook = func() { c.Fault.Delay(fault.CSDelay) }
 		rng := xrand.New(99)
 		for i := 0; i < 2000; i++ {
 			c.Fault.Delay(fault.OpDelay)

@@ -14,6 +14,15 @@ func TestHerlihyChaos(t *testing.T) {
 	settest.RunChaos(t, func(o core.Options) core.Set { return NewHerlihy(o) })
 }
 
+// TestHerlihyChaosElided: the battery with lock elision on, so htm.abort
+// drives the abort → retry → fallback path (see list.TestLazyChaosElided).
+func TestHerlihyChaosElided(t *testing.T) {
+	settest.RunChaos(t, func(o core.Options) core.Set {
+		o.ElideAttempts = 5
+		return NewHerlihy(o)
+	})
+}
+
 func TestPughChaos(t *testing.T) {
 	settest.RunChaos(t, func(o core.Options) core.Set { return NewPugh(o) })
 }

@@ -274,7 +274,7 @@ func (s *Herlihy) putElided(c *core.Ctx, k core.Key, v core.Value) bool {
 			continue
 		}
 		n := newHNodePooled(c, k, v, topLevel+1)
-		st := s.region.Run(c.Stat(), ctxDoom(c), func(a *htm.Acq) htm.Status {
+		st := s.region.Run(c.Stat(), c.Injector(), func(a *htm.Acq) htm.Status {
 			var last *hNode
 			for lvl := 0; lvl <= topLevel; lvl++ {
 				if preds[lvl] != last {
@@ -424,7 +424,7 @@ func (s *Herlihy) removeElided(c *core.Ctx, k core.Key) bool {
 		}
 		topLevel := victim.topLevel
 		var removed bool
-		st := s.region.Run(c.Stat(), ctxDoom(c), func(a *htm.Acq) htm.Status {
+		st := s.region.Run(c.Stat(), c.Injector(), func(a *htm.Acq) htm.Status {
 			if !a.Lock(&victim.lock) {
 				return a.AbortStatus()
 			}
@@ -539,12 +539,4 @@ func (s *Herlihy) CursorNext(c *core.Ctx, pos, hi core.Key, max int, f func(k co
 			}
 		}
 	}, f)
-}
-
-// ctxDoom extracts the HTM doom flag from a context (nil-tolerant).
-func ctxDoom(c *core.Ctx) *htm.Doom {
-	if c == nil {
-		return nil
-	}
-	return c.Doom
 }
