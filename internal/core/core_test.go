@@ -159,6 +159,38 @@ func TestCtxHelpers(t *testing.T) {
 	}
 }
 
+// TestLockModeDelayServedInCS: under plain locks the Figure 9 victim's
+// delay is served by InCS, inside the write phase, on the victim worker
+// only and only on the scheduled write phase.
+func TestLockModeDelayServedInCS(t *testing.T) {
+	plan, err := fault.ParsePlan("cs.delay:every=2,min=100us,workers=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tally := fault.NewTally()
+	victim, other := NewCtx(0), NewCtx(1)
+	victim.Fault = fault.NewInjector(plan, 0, tally)
+	other.Fault = fault.NewInjector(plan, 1, tally)
+	for i := 0; i < 4; i++ {
+		other.InCS()
+	}
+	if n := tally.Count(fault.CSDelay); n != 0 {
+		t.Fatalf("non-victim worker served %d delays", n)
+	}
+	victim.InCS() // first write phase: not scheduled
+	if n := tally.Count(fault.CSDelay); n != 0 {
+		t.Fatalf("victim delayed on write phase 1 of every=2 (%d fires)", n)
+	}
+	start := time.Now()
+	victim.InCS()
+	if el := time.Since(start); el < 100*time.Microsecond {
+		t.Fatalf("InCS returned after %v; the victim's 100µs delay was not served", el)
+	}
+	if n := tally.Count(fault.CSDelay); n != 1 {
+		t.Fatalf("victim served %d delays over two write phases, want 1", n)
+	}
+}
+
 func TestCtxEpochIntegration(t *testing.T) {
 	dom := ebr.NewDomain()
 	c := NewCtx(0)

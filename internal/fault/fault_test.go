@@ -196,6 +196,84 @@ func TestDurationBounds(t *testing.T) {
 	}
 }
 
+// TestDegenerateSpanUsesMin: min == max (or max omitted) draws exactly min
+// on every draw, without consuming the stream's range.
+func TestDegenerateSpanUsesMin(t *testing.T) {
+	for _, spec := range []string{"cs.delay:every=1,min=1us,max=1us", "cs.delay:every=1,min=1us"} {
+		plan, err := ParsePlan(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := NewInjector(plan, 0, nil)
+		for i := 0; i < 10; i++ {
+			if d := in.Duration(CSDelay); d != time.Microsecond {
+				t.Fatalf("%s: drew %v, want 1µs", spec, d)
+			}
+		}
+	}
+}
+
+// TestCSDelayFiresEveryN: an every=N rule fires exactly once per N draws,
+// at the N-th, and serves its delay only then.
+func TestCSDelayFiresEveryN(t *testing.T) {
+	plan, err := ParsePlan("cs.delay:every=10,min=1us,max=1us")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tally := NewTally()
+	in := NewInjector(plan, 0, tally)
+	for i := 1; i <= 100; i++ {
+		if got, want := in.Delay(CSDelay), i%10 == 0; got != want {
+			t.Fatalf("draw %d: fired=%v, want %v", i, got, want)
+		}
+	}
+	if n := tally.Count(CSDelay); n != 10 {
+		t.Fatalf("fired %d delays for 100 draws, want 10", n)
+	}
+}
+
+// TestNoPlanNoEffects: with no plan ("" or "off") every worker's injector
+// is nil, and drawing every point on it fires, counts and delays nothing.
+func TestNoPlanNoEffects(t *testing.T) {
+	for _, spec := range []string{"", "off"} {
+		plan, err := ParsePlan(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tally := NewTally()
+		for w := uint64(0); w < 4; w++ {
+			in := NewInjector(plan, w, tally)
+			if in != nil {
+				t.Fatalf("%q: worker %d got a non-nil injector", spec, w)
+			}
+			for i := 0; i < 100; i++ {
+				for _, pt := range Points {
+					in.Delay(pt)
+				}
+			}
+		}
+		if tally.Total() != 0 {
+			t.Fatalf("%q: injectors fired with no plan: %s", spec, tally)
+		}
+	}
+}
+
+// TestZeroRateNeverArms: a zero-rate rule schedules nothing, so neither
+// the grammar nor code can arm one — a rate-0 adversary is simply absent.
+func TestZeroRateNeverArms(t *testing.T) {
+	for _, spec := range []string{"htm.abort:p=0", "cs.delay:every=0", "cs.delay:p=0,min=50us,max=500us"} {
+		if _, err := ParsePlan(spec); err == nil {
+			t.Errorf("ParsePlan(%q) accepted a zero-rate rule", spec)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Plan.Set accepted a zero-rate rule")
+		}
+	}()
+	NewPlan(1).Set(HTMAbort, Rule{Min: 50 * time.Microsecond, Max: 500 * time.Microsecond})
+}
+
 func TestProbabilityRate(t *testing.T) {
 	plan, _ := ParsePlan("seed=4;cs.delay:p=0.25")
 	in := NewInjector(plan, 0, nil)

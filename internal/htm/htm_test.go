@@ -173,6 +173,37 @@ func TestInterruptAtCommitPoint(t *testing.T) {
 	}
 }
 
+func TestElidedModeAbortsInsteadOfCSStall(t *testing.T) {
+	// Under the multiprogramming plan an elided section is switched out by
+	// htm.abort, never by cs.delay: the region draws no in-critical-section
+	// stall, and the 50µs deschedule runs between the speculative attempt's
+	// release and the fallback's.
+	inj, tally := abortPlan(t, "htm.abort:every=1,min=50us,max=50us;cs.delay:every=1,min=50us,max=50us")
+	var l spyLock
+	var th stats.Thread
+	r := Region{Attempts: 1}
+	wrote := 0
+	if st := r.Run(&th, inj, writeOnce(&l, &wrote)); st != Committed || wrote != 1 {
+		t.Fatalf("st=%v wrote=%d", st, wrote)
+	}
+	if tally.Count(fault.HTMAbort) != 1 || tally.Count(fault.CSDelay) != 0 {
+		t.Fatalf("htm.abort fired %d, cs.delay fired %d; want 1 and 0",
+			tally.Count(fault.HTMAbort), tally.Count(fault.CSDelay))
+	}
+	if th.TxAborts[stats.AbortInterrupt] != 1 || th.TxFallbacks != 1 {
+		t.Fatalf("want 1 interrupt abort then 1 fallback: %+v", th)
+	}
+	if len(l.released) != 2 {
+		t.Fatalf("released %d times, want 2 (speculation, fallback)", len(l.released))
+	}
+	if off := l.released[1].Sub(l.released[0]); off < 50*time.Microsecond {
+		t.Fatalf("fallback released %v after the interrupted attempt; the 50µs deschedule must run in between", off)
+	}
+	if l.Held() {
+		t.Fatal("lock leaked")
+	}
+}
+
 func TestInterruptEveryAttemptFallsBack(t *testing.T) {
 	// every=1 interrupts every speculative attempt: the budget runs out
 	// and the section completes on the pessimistic path, which never
