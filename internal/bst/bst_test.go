@@ -9,51 +9,42 @@ import (
 	"csds/internal/xrand"
 )
 
-func TestTK(t *testing.T) {
-	settest.Run(t, func(o core.Options) core.Set { return NewTK(o) })
+// trees is the package's conformance roster, by registry short name.
+var trees = map[string]settest.Factory{
+	"tk":       func(o core.Options) core.Set { return NewTK(o) },
+	"internal": func(o core.Options) core.Set { return NewInternal(o) },
 }
 
-func TestTKElided(t *testing.T) {
-	settest.RunElided(t, func(o core.Options) core.Set { return NewTK(o) })
-}
+func TestTK(t *testing.T)       { settest.Run(t, trees["tk"]) }
+func TestTKElided(t *testing.T) { settest.RunElided(t, trees["tk"]) }
+func TestInternal(t *testing.T) { settest.Run(t, trees["internal"]) }
 
-func TestTKEBR(t *testing.T) {
-	settest.RunEBR(t, func(o core.Options) core.Set { return NewTK(o) })
-}
-
-func TestInternal(t *testing.T) {
-	settest.Run(t, func(o core.Options) core.Set { return NewInternal(o) })
-}
-
-// TestScanners runs the linearizable range-scan battery on both trees;
-// BSTs scan in key order.
+// TestScanners runs the linearizable range-scan battery on both trees.
 func TestScanners(t *testing.T) {
-	for name, mk := range map[string]func(core.Options) core.Set{
-		"tk":       func(o core.Options) core.Set { return NewTK(o) },
-		"internal": func(o core.Options) core.Set { return NewInternal(o) },
-	} {
-		t.Run(name, func(t *testing.T) { settest.RunScanner(t, mk, true) })
+	for name, f := range trees {
+		t.Run(name, func(t *testing.T) { settest.RunScanner(t, f) })
 	}
 }
 
 // TestCursors runs the paginated-iteration battery on both trees.
 func TestCursors(t *testing.T) {
-	for name, mk := range map[string]func(core.Options) core.Set{
-		"tk":       func(o core.Options) core.Set { return NewTK(o) },
-		"internal": func(o core.Options) core.Set { return NewInternal(o) },
-	} {
-		t.Run(name, func(t *testing.T) { settest.RunCursor(t, mk) })
+	for name, f := range trees {
+		t.Run(name, func(t *testing.T) { settest.RunCursor(t, f) })
+	}
+}
+
+// TestCursorPageCost pins O(page) cursor pages on both trees.
+func TestCursorPageCost(t *testing.T) {
+	for name, f := range trees {
+		t.Run(name, func(t *testing.T) { settest.RunCursorPageCost(t, f) })
 	}
 }
 
 // TestBatchers runs the batched-operation battery on both trees (sorted
 // point application: logarithmic descents with path-prefix locality).
 func TestBatchers(t *testing.T) {
-	for name, mk := range map[string]func(core.Options) core.Set{
-		"tk":       func(o core.Options) core.Set { return NewTK(o) },
-		"internal": func(o core.Options) core.Set { return NewInternal(o) },
-	} {
-		t.Run(name, func(t *testing.T) { settest.RunBatcher(t, mk) })
+	for name, f := range trees {
+		t.Run(name, func(t *testing.T) { settest.RunBatcher(t, f) })
 	}
 }
 

@@ -10,9 +10,7 @@ import (
 // The chaos battery (settest.RunChaos): seeded fault injection under the
 // full invariant set — see internal/settest/chaostest.go.
 
-func TestTKChaos(t *testing.T) {
-	settest.RunChaos(t, func(o core.Options) core.Set { return NewTK(o) })
-}
+func TestTKChaos(t *testing.T) { settest.RunChaos(t, trees["tk"]) }
 
 // TestTKChaosElided: the battery with lock elision on, so htm.abort
 // drives the abort → retry → fallback path (see list.TestLazyChaosElided).
@@ -23,6 +21,4 @@ func TestTKChaosElided(t *testing.T) {
 	})
 }
 
-func TestInternalChaos(t *testing.T) {
-	settest.RunChaos(t, func(o core.Options) core.Set { return NewInternal(o) })
-}
+func TestInternalChaos(t *testing.T) { settest.RunChaos(t, trees["internal"]) }

@@ -3,7 +3,6 @@ package bst
 import (
 	"testing"
 
-	"csds/internal/core"
 	"csds/internal/settest"
 )
 
@@ -12,13 +11,9 @@ import (
 // readers asserting no traversal ever observes a poisoned or recycled
 // mapping.
 
-func TestTKPoison(t *testing.T) {
-	settest.RunPoison(t, func(o core.Options) core.Set { return NewTK(o) })
-}
+func TestTKPoison(t *testing.T) { settest.RunPoison(t, trees["tk"]) }
 
-func TestInternalPoison(t *testing.T) {
-	// The internal BST deletes logically and never retires — the battery
-	// degenerates to a read-consistency check plus a trivially empty
-	// drain, which is exactly the documented contract.
-	settest.RunPoison(t, func(o core.Options) core.Set { return NewInternal(o) })
-}
+// The internal BST deletes logically and never retires — the battery
+// degenerates to a read-consistency check plus a trivially empty drain,
+// which is exactly the documented contract.
+func TestInternalPoison(t *testing.T) { settest.RunPoison(t, trees["internal"]) }

@@ -13,13 +13,10 @@ import (
 // invariant set. See internal/settest/chaostest.go.
 
 func TestCombinatorsChaos(t *testing.T) {
-	specs := []string{
+	runSpecs(t, settest.RunChaos,
 		"sharded(4,list/lazy)",
 		"striped(4,bst/tk)",
 		"readcache(8,hashtable/lazy)",
 		"elastic(2,skiplist/herlihy)",
-	}
-	for _, spec := range specs {
-		t.Run(spec, func(t *testing.T) { settest.RunChaosSpec(t, spec) })
-	}
+	)
 }

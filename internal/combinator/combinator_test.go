@@ -17,17 +17,32 @@ import (
 	_ "csds/internal/skiplist"
 )
 
+// runSpecs runs a settest battery on each spec, resolved through the
+// layered core factory, as a subtest named after the spec. The battery
+// adds the resize legs of elastic specs and the Elided legs of specs over
+// a speculating leaf itself.
+func runSpecs(t *testing.T, battery func(*testing.T, settest.Factory), specs ...string) {
+	t.Helper()
+	for _, spec := range specs {
+		t.Run(spec, func(t *testing.T) {
+			f, err := core.NewFactory(spec)
+			if err != nil {
+				t.Fatalf("resolving %s: %v", spec, err)
+			}
+			battery(t, f)
+		})
+	}
+}
+
 // TestCompositeSuites runs the full linearizable-set conformance battery
 // against the acceptance composites and a nested one.
 func TestCompositeSuites(t *testing.T) {
-	for _, spec := range []string{
+	runSpecs(t, settest.Run,
 		"sharded(16,list/lazy)",
 		"striped(8,skiplist/herlihy)",
 		"readcache(1024,bst/tk)",
 		"readcache(64,sharded(4,hashtable/lazy))",
-	} {
-		t.Run(spec, func(t *testing.T) { settest.RunSpec(t, spec) })
-	}
+	)
 }
 
 // TestCompositeSuitesMoreLeaves cross-checks each combinator over a
@@ -37,38 +52,31 @@ func TestCompositeSuitesMoreLeaves(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-product suites are the long battery")
 	}
-	for _, spec := range []string{
+	runSpecs(t, settest.Run,
 		"sharded(4,list/harris)",
 		"striped(4,list/waitfree)",
 		"readcache(128,list/harris)",
-	} {
-		t.Run(spec, func(t *testing.T) { settest.RunSpec(t, spec) })
-	}
+	)
 }
 
 // TestCompositeScanners runs the linearizable range-scan battery over
-// every combinator. Ordered follows the scan contract: striped preserves
-// inner order, sharded walks blocks in key order or sorts its merge,
-// elastic sorts its merge, readcache inherits the inner order — and
-// since the hash tables grew their ordered key index, every leaf in the
-// module scans ascending, so every composite does too.
+// every combinator. Striped preserves inner order, sharded walks blocks
+// in key order or sorts its merge, elastic sorts its merge, readcache
+// inherits the inner order — and since the hash tables grew their
+// ordered key index, every leaf in the module scans ascending, so every
+// composite does too.
 func TestCompositeScanners(t *testing.T) {
-	for _, tc := range []struct {
-		spec    string
-		ordered bool
-	}{
-		{"sharded(16,list/lazy)", true},
-		{"sharded(4,hashtable/lazy)", true},    // merge sort orders the hash leaves
-		{"sharded(32,skiplist/herlihy)", true}, // the repo benchmark's range spec
-		{"striped(8,skiplist/herlihy)", true},
-		{"striped(4,hashtable/lazy)", true}, // indexed hash leaves scan ascending now
-		{"readcache(1024,bst/tk)", true},
-		{"readcache(64,sharded(4,hashtable/lazy))", true},
-		{"elastic(4,list/lazy)", true},
-		{"striped(4,sharded(2,list/lazy))", true},
-	} {
-		t.Run(tc.spec, func(t *testing.T) { settest.RunScannerSpec(t, tc.spec, tc.ordered) })
-	}
+	runSpecs(t, settest.RunScanner,
+		"sharded(16,list/lazy)",
+		"sharded(4,hashtable/lazy)",    // merge sort orders the hash leaves
+		"sharded(32,skiplist/herlihy)", // the repo benchmark's range spec
+		"striped(8,skiplist/herlihy)",
+		"striped(4,hashtable/lazy)",
+		"readcache(1024,bst/tk)",
+		"readcache(64,sharded(4,hashtable/lazy))",
+		"elastic(4,list/lazy)",
+		"striped(4,sharded(2,list/lazy))",
+	)
 }
 
 // TestCompositeScannersMoreLeaves cross-checks scans over lock-free and
@@ -77,14 +85,16 @@ func TestCompositeScannersMoreLeaves(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-product suites are the long battery")
 	}
-	for _, spec := range []string{
-		"sharded(4,list/harris)",
-		"striped(4,list/waitfree)",
-		"striped(4,skiplist/lockfree)",
-		"elastic(4,bst/tk)",
-	} {
-		t.Run(spec, func(t *testing.T) { settest.RunScannerSpec(t, spec, true) })
-	}
+	runSpecs(t, settest.RunScanner, moreLeaves...)
+}
+
+// moreLeaves are the long battery's composites over lock-free and
+// wait-free leaves.
+var moreLeaves = []string{
+	"sharded(4,list/harris)",
+	"striped(4,list/waitfree)",
+	"striped(4,skiplist/lockfree)",
+	"elastic(4,bst/tk)",
 }
 
 // TestCompositeCursors runs the paginated-iteration battery across the
@@ -93,7 +103,7 @@ func TestCompositeScannersMoreLeaves(t *testing.T) {
 // and nesting — including hash-table leaves, whose cursor pages are
 // sorted into the same ascending order every composite promises.
 func TestCompositeCursors(t *testing.T) {
-	for _, spec := range []string{
+	runSpecs(t, settest.RunCursor,
 		"sharded(16,list/lazy)",
 		"sharded(4,hashtable/lazy)",
 		"sharded(32,skiplist/herlihy)", // the repo benchmark's range spec
@@ -103,9 +113,7 @@ func TestCompositeCursors(t *testing.T) {
 		"readcache(64,sharded(4,hashtable/lazy))",
 		"elastic(4,list/lazy)",
 		"striped(4,sharded(2,list/lazy))",
-	} {
-		t.Run(spec, func(t *testing.T) { settest.RunCursorSpec(t, spec) })
-	}
+	)
 }
 
 // TestCompositeCursorsMoreLeaves cross-checks cursors over lock-free and
@@ -114,14 +122,7 @@ func TestCompositeCursorsMoreLeaves(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-product suites are the long battery")
 	}
-	for _, spec := range []string{
-		"sharded(4,list/harris)",
-		"striped(4,list/waitfree)",
-		"striped(4,skiplist/lockfree)",
-		"elastic(4,bst/tk)",
-	} {
-		t.Run(spec, func(t *testing.T) { settest.RunCursorSpec(t, spec) })
-	}
+	runSpecs(t, settest.RunCursor, moreLeaves...)
 }
 
 // TestCompositeBatchers runs the batched-operation battery over every
@@ -132,7 +133,7 @@ func TestCompositeCursorsMoreLeaves(t *testing.T) {
 // combine path's exposure; sharded(·,skiplist/herlihy) is the one-call
 // PartBatcher path (the repo benchmark's range spec at 32).
 func TestCompositeBatchers(t *testing.T) {
-	for _, spec := range []string{
+	runSpecs(t, settest.RunBatcher,
 		"sharded(16,list/lazy)",
 		"sharded(1,list/lazy)",
 		"sharded(4,hashtable/lazy)",
@@ -143,9 +144,7 @@ func TestCompositeBatchers(t *testing.T) {
 		"readcache(64,sharded(4,hashtable/lazy))",
 		"elastic(4,list/lazy)",
 		"striped(4,sharded(2,list/lazy))",
-	} {
-		t.Run(spec, func(t *testing.T) { settest.RunBatcherSpec(t, spec) })
-	}
+	)
 }
 
 // TestCompositeBatchersMoreLeaves cross-checks batches over lock-free
@@ -154,34 +153,16 @@ func TestCompositeBatchersMoreLeaves(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-product suites are the long battery")
 	}
-	for _, spec := range []string{
-		"sharded(4,list/harris)",
-		"striped(4,list/waitfree)",
-		"striped(4,skiplist/lockfree)",
-		"elastic(4,bst/tk)",
-	} {
-		t.Run(spec, func(t *testing.T) { settest.RunBatcherSpec(t, spec) })
-	}
+	runSpecs(t, settest.RunBatcher, moreLeaves...)
 }
 
 // TestElasticBatchUnderResize is the acceptance point of the batch
 // battery: batches over elastic composites must keep the per-key
 // algebra and anchor visibility — every element linearizing inside its
 // call — while a dedicated goroutine grows and shrinks the shard map
-// between (and during) batches.
+// between (and during) batches (the battery's UnderResize legs).
 func TestElasticBatchUnderResize(t *testing.T) {
-	for _, spec := range []string{
-		"elastic(2,list/lazy)",
-		"elastic(2,skiplist/herlihy)",
-	} {
-		f, err := core.NewFactory(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Run(spec, func(t *testing.T) {
-			settest.RunBatcherResizable(t, settest.Factory(f))
-		})
-	}
+	runSpecs(t, settest.RunBatcher, "elastic(2,list/lazy)", "elastic(2,skiplist/herlihy)")
 }
 
 // TestElasticCursorUnderResize is the acceptance point of the cursor
@@ -190,48 +171,14 @@ func TestElasticBatchUnderResize(t *testing.T) {
 // dedicated goroutine grows and shrinks the shard map between (and
 // during) pages.
 func TestElasticCursorUnderResize(t *testing.T) {
-	for _, spec := range []string{
-		"elastic(2,list/lazy)",
-		"elastic(2,skiplist/herlihy)",
-	} {
-		f, err := core.NewFactory(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Run(spec, func(t *testing.T) {
-			settest.RunCursorResizable(t, settest.Factory(f))
-		})
-	}
+	runSpecs(t, settest.RunCursor, "elastic(2,list/lazy)", "elastic(2,skiplist/herlihy)")
 }
 
 // TestElasticScanUnderResize is the acceptance point of the scan
 // battery: elastic composites must return consistent snapshots while a
 // dedicated goroutine grows and shrinks the shard map mid-scan.
 func TestElasticScanUnderResize(t *testing.T) {
-	for _, spec := range []string{
-		"elastic(2,list/lazy)",
-		"elastic(2,skiplist/herlihy)",
-	} {
-		f, err := core.NewFactory(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Run(spec, func(t *testing.T) {
-			settest.RunScannerResizable(t, settest.Factory(f), true)
-		})
-	}
-}
-
-// TestCompositeEBR checks epoch-based reclamation threads through the
-// wrappers: the shared domain in Options reaches every inner instance.
-func TestCompositeEBR(t *testing.T) {
-	for _, spec := range []string{"sharded(4,list/lazy)", "readcache(64,list/lazy)"} {
-		f, err := core.NewFactory(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Run(spec, func(t *testing.T) { settest.RunEBR(t, settest.Factory(f)) })
-	}
+	runSpecs(t, settest.RunScanner, "elastic(2,list/lazy)", "elastic(2,skiplist/herlihy)")
 }
 
 func ctx() *core.Ctx { return core.NewCtx(0) }

@@ -3,7 +3,6 @@ package combinator
 import (
 	"testing"
 
-	"csds/internal/core"
 	"csds/internal/settest"
 )
 
@@ -14,17 +13,14 @@ import (
 // resize reclamation never leak a live mapping.
 
 func TestCombinatorsPoison(t *testing.T) {
-	specs := []string{
+	runSpecs(t, settest.RunPoison,
 		"sharded(4,list/lazy)",
 		"sharded(4,skiplist/herlihy)",
 		"striped(4,list/lazy)",
 		"striped(4,bst/tk)",
 		"readcache(8,list/lazy)",
 		"readcache(8,hashtable/lazy)",
-	}
-	for _, spec := range specs {
-		t.Run(spec, func(t *testing.T) { settest.RunPoisonSpec(t, spec) })
-	}
+	)
 }
 
 // TestElasticPoison runs the battery under continuous resize: every
@@ -32,17 +28,10 @@ func TestCombinatorsPoison(t *testing.T) {
 // are swept into the pools by ReclaimAll — while stragglers may still
 // be traversing them inside their brackets.
 func TestElasticPoison(t *testing.T) {
-	specs := []string{
+	runSpecs(t, settest.RunPoison,
 		"elastic(2,list/lazy)",
 		"elastic(2,hashtable/lazy)",
 		"elastic(2,bst/tk)",
 		"elastic(2,skiplist/herlihy)",
-	}
-	for _, spec := range specs {
-		f, err := core.NewFactory(spec)
-		if err != nil {
-			t.Fatalf("resolving %s: %v", spec, err)
-		}
-		t.Run(spec, func(t *testing.T) { settest.RunPoisonResizable(t, settest.Factory(f)) })
-	}
+	)
 }

@@ -328,8 +328,9 @@ func ParsePlan(spec string) (*Plan, error) {
 // ChaosPlan is the standard battery schedule: every structure-facing and
 // EBR-facing point armed at rates tuned so a few thousand operations per
 // worker hit each point several times without drowning the run in sleep.
-// settest.RunChaos and the CI chaos job run exactly this plan under three
-// pinned seeds.
+// settest.RunChaos — in every leg it runs: as built, under resize,
+// elided — and the CI chaos job run exactly this plan under three pinned
+// seeds.
 func ChaosPlan(seed uint64) *Plan {
 	return NewPlan(seed).
 		Set(OpDelay, Rule{Prob: 0.02, Min: time.Microsecond, Max: 50 * time.Microsecond}).

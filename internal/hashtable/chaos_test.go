@@ -12,9 +12,7 @@ import (
 // variant maximizes chain sharing so forced guard failures and delayed
 // reclaims land on chains readers are actually traversing.
 
-func TestLazyChaos(t *testing.T) {
-	settest.RunChaos(t, func(o core.Options) core.Set { return NewLazy(o) })
-}
+func TestLazyChaos(t *testing.T) { settest.RunChaos(t, tables["lazy"]) }
 
 // TestLazyChaosElided: the battery with lock elision on, so htm.abort
 // drives the abort → retry → fallback path (see list.TestLazyChaosElided).
@@ -25,29 +23,12 @@ func TestLazyChaosElided(t *testing.T) {
 	})
 }
 
-func TestLazySmallTableChaos(t *testing.T) {
-	settest.RunChaos(t, func(o core.Options) core.Set {
-		o.Buckets = 2
-		return NewLazy(o)
-	})
-}
-
-func TestCOWChaos(t *testing.T) {
-	settest.RunChaos(t, func(o core.Options) core.Set { return NewCOW(o) })
-}
-
-func TestStripedChaos(t *testing.T) {
-	settest.RunChaos(t, func(o core.Options) core.Set { return NewStriped(o) })
-}
+func TestLazySmallTableChaos(t *testing.T) { settest.RunChaos(t, smallTable) }
+func TestCOWChaos(t *testing.T)            { settest.RunChaos(t, tables["cow"]) }
+func TestStripedChaos(t *testing.T)        { settest.RunChaos(t, tables["striped"]) }
 
 func TestBucketedChaos(t *testing.T) {
-	for _, name := range []string{
-		"hashtable/lockcoupling", "hashtable/pugh", "hashtable/harris", "hashtable/waitfree",
-	} {
-		info, ok := core.Lookup(name)
-		if !ok {
-			t.Fatalf("registry is missing %s", name)
-		}
-		t.Run(name, func(t *testing.T) { settest.RunChaos(t, info.New) })
+	for _, name := range []string{"lockcoupling", "pugh", "harris", "waitfree"} {
+		t.Run("hashtable/"+name, func(t *testing.T) { settest.RunChaos(t, tables[name]) })
 	}
 }

@@ -7,145 +7,75 @@ import (
 	"csds/internal/settest"
 )
 
-func TestLazy(t *testing.T) {
-	settest.Run(t, func(o core.Options) core.Set { return NewLazy(o) })
+// tables is the package's conformance roster, by registry short name.
+var tables = map[string]settest.Factory{
+	"lazy":         func(o core.Options) core.Set { return NewLazy(o) },
+	"cow":          func(o core.Options) core.Set { return NewCOW(o) },
+	"striped":      func(o core.Options) core.Set { return NewStriped(o) },
+	"lockcoupling": registered("hashtable/lockcoupling"),
+	"pugh":         registered("hashtable/pugh"),
+	"harris":       registered("hashtable/harris"),
+	"waitfree":     registered("hashtable/waitfree"),
 }
 
-func TestLazyElided(t *testing.T) {
-	settest.RunElided(t, func(o core.Options) core.Set { return NewLazy(o) })
+// registered builds the named algorithm through the registry, looked up
+// per call: the bucketed variants register in this package's init, which
+// runs after the roster is initialized.
+func registered(name string) settest.Factory {
+	return func(o core.Options) core.Set {
+		info, _ := core.Lookup(name)
+		return info.New(o)
+	}
 }
 
-func TestLazyEBR(t *testing.T) {
-	settest.RunEBR(t, func(o core.Options) core.Set { return NewLazy(o) })
+// smallTable is hashtable/lazy with 2 buckets: heavy chain sharing
+// exercises the sorted-splice paths and puts scans and cursor pages on
+// long shared buckets under churn.
+func smallTable(o core.Options) core.Set {
+	o.Buckets = 2
+	return NewLazy(o)
 }
 
-func TestLazySmallTable(t *testing.T) {
-	// A 2-bucket table forces heavy chain sharing: exercises sorted-splice
-	// paths thoroughly.
-	settest.Run(t, func(o core.Options) core.Set {
-		o.Buckets = 2
-		return NewLazy(o)
-	})
-}
-
-func TestCOW(t *testing.T) {
-	settest.Run(t, func(o core.Options) core.Set { return NewCOW(o) })
-}
-
-func TestStriped(t *testing.T) {
-	settest.Run(t, func(o core.Options) core.Set { return NewStriped(o) })
-}
-
-func TestBucketedLockCoupling(t *testing.T) {
-	info, _ := core.Lookup("hashtable/lockcoupling")
-	settest.Run(t, info.New)
-}
-
-func TestBucketedPugh(t *testing.T) {
-	info, _ := core.Lookup("hashtable/pugh")
-	settest.Run(t, info.New)
-}
-
-func TestBucketedHarris(t *testing.T) {
-	info, _ := core.Lookup("hashtable/harris")
-	settest.Run(t, info.New)
-}
-
-func TestBucketedWaitFree(t *testing.T) {
-	info, _ := core.Lookup("hashtable/waitfree")
-	settest.Run(t, info.New)
-}
+func TestLazy(t *testing.T)                 { settest.Run(t, tables["lazy"]) }
+func TestLazyElided(t *testing.T)           { settest.RunElided(t, tables["lazy"]) }
+func TestLazySmallTable(t *testing.T)       { settest.Run(t, smallTable) }
+func TestCOW(t *testing.T)                  { settest.Run(t, tables["cow"]) }
+func TestStriped(t *testing.T)              { settest.Run(t, tables["striped"]) }
+func TestBucketedLockCoupling(t *testing.T) { settest.Run(t, tables["lockcoupling"]) }
+func TestBucketedPugh(t *testing.T)         { settest.Run(t, tables["pugh"]) }
+func TestBucketedHarris(t *testing.T)       { settest.Run(t, tables["harris"]) }
+func TestBucketedWaitFree(t *testing.T)     { settest.Run(t, tables["waitfree"]) }
 
 // TestScanners runs the linearizable range-scan battery on every table.
 // Since the ordered key index, hash-table scans are ascending like every
-// other structure's — the battery's order assertion is on.
+// other structure's.
 func TestScanners(t *testing.T) {
-	lookup := func(name string) func(core.Options) core.Set {
-		info, ok := core.Lookup(name)
-		if !ok {
-			t.Fatalf("%s not registered", name)
-		}
-		return info.New
-	}
-	for name, mk := range map[string]func(core.Options) core.Set{
-		"lazy":         func(o core.Options) core.Set { return NewLazy(o) },
-		"cow":          func(o core.Options) core.Set { return NewCOW(o) },
-		"striped":      func(o core.Options) core.Set { return NewStriped(o) },
-		"lockcoupling": lookup("hashtable/lockcoupling"),
-		"pugh":         lookup("hashtable/pugh"),
-		"harris":       lookup("hashtable/harris"),
-		"waitfree":     lookup("hashtable/waitfree"),
-	} {
-		t.Run(name, func(t *testing.T) { settest.RunScanner(t, mk, true) })
+	for name, f := range tables {
+		t.Run(name, func(t *testing.T) { settest.RunScanner(t, f) })
 	}
 }
 
-// TestLazyScannerSmallTable forces heavy chain sharing so scans see long
-// shared buckets under churn.
-func TestLazyScannerSmallTable(t *testing.T) {
-	settest.RunScanner(t, func(o core.Options) core.Set {
-		o.Buckets = 2
-		return NewLazy(o)
-	}, true)
-}
+func TestLazyScannerSmallTable(t *testing.T) { settest.RunScanner(t, smallTable) }
 
 // TestCursors runs the paginated-iteration battery on every table.
-// Unlike one-shot hash scans, cursor pages are ascending by key even
-// here — key order is the only resumable order a churning hash table
-// can offer — so the battery's order assertion stays on.
+// Cursor pages are ascending by key even here — key order is the only
+// resumable order a churning hash table can offer.
 func TestCursors(t *testing.T) {
-	lookup := func(name string) func(core.Options) core.Set {
-		info, ok := core.Lookup(name)
-		if !ok {
-			t.Fatalf("%s not registered", name)
-		}
-		return info.New
-	}
-	for name, mk := range map[string]func(core.Options) core.Set{
-		"lazy":         func(o core.Options) core.Set { return NewLazy(o) },
-		"cow":          func(o core.Options) core.Set { return NewCOW(o) },
-		"striped":      func(o core.Options) core.Set { return NewStriped(o) },
-		"lockcoupling": lookup("hashtable/lockcoupling"),
-		"pugh":         lookup("hashtable/pugh"),
-		"harris":       lookup("hashtable/harris"),
-		"waitfree":     lookup("hashtable/waitfree"),
-	} {
-		t.Run(name, func(t *testing.T) { settest.RunCursor(t, mk) })
+	for name, f := range tables {
+		t.Run(name, func(t *testing.T) { settest.RunCursor(t, f) })
 	}
 }
+
+func TestLazyCursorSmallTable(t *testing.T) { settest.RunCursor(t, smallTable) }
 
 // TestBatchers runs the batched-operation battery on every table
 // (unsorted point application — hash routing destroys key order, so the
 // loop is the optimal plan and amortization comes from the combinator
 // layer above).
 func TestBatchers(t *testing.T) {
-	lookup := func(name string) func(core.Options) core.Set {
-		info, ok := core.Lookup(name)
-		if !ok {
-			t.Fatalf("%s not registered", name)
-		}
-		return info.New
+	for name, f := range tables {
+		t.Run(name, func(t *testing.T) { settest.RunBatcher(t, f) })
 	}
-	for name, mk := range map[string]func(core.Options) core.Set{
-		"lazy":         func(o core.Options) core.Set { return NewLazy(o) },
-		"cow":          func(o core.Options) core.Set { return NewCOW(o) },
-		"striped":      func(o core.Options) core.Set { return NewStriped(o) },
-		"lockcoupling": lookup("hashtable/lockcoupling"),
-		"pugh":         lookup("hashtable/pugh"),
-		"harris":       lookup("hashtable/harris"),
-		"waitfree":     lookup("hashtable/waitfree"),
-	} {
-		t.Run(name, func(t *testing.T) { settest.RunBatcher(t, mk) })
-	}
-}
-
-// TestLazyCursorSmallTable forces heavy chain sharing so cursor pages
-// see long shared buckets under churn.
-func TestLazyCursorSmallTable(t *testing.T) {
-	settest.RunCursor(t, func(o core.Options) core.Set {
-		o.Buckets = 2
-		return NewLazy(o)
-	})
 }
 
 // TestCursorPageCost: every table's full paginated iteration must
@@ -153,23 +83,8 @@ func TestLazyCursorSmallTable(t *testing.T) {
 // O(pages·table) the pre-index collect-and-sort paid — the ordered key
 // index is what this pins.
 func TestCursorPageCost(t *testing.T) {
-	lookup := func(name string) func(core.Options) core.Set {
-		info, ok := core.Lookup(name)
-		if !ok {
-			t.Fatalf("%s not registered", name)
-		}
-		return info.New
-	}
-	for name, mk := range map[string]func(core.Options) core.Set{
-		"lazy":         func(o core.Options) core.Set { return NewLazy(o) },
-		"cow":          func(o core.Options) core.Set { return NewCOW(o) },
-		"striped":      func(o core.Options) core.Set { return NewStriped(o) },
-		"lockcoupling": lookup("hashtable/lockcoupling"),
-		"pugh":         lookup("hashtable/pugh"),
-		"harris":       lookup("hashtable/harris"),
-		"waitfree":     lookup("hashtable/waitfree"),
-	} {
-		t.Run(name, func(t *testing.T) { settest.RunCursorPageCost(t, mk) })
+	for name, f := range tables {
+		t.Run(name, func(t *testing.T) { settest.RunCursorPageCost(t, f) })
 	}
 }
 

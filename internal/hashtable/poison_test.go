@@ -3,52 +3,20 @@ package hashtable
 import (
 	"testing"
 
-	"csds/internal/core"
 	"csds/internal/settest"
 )
 
 // The poisoning battery (settest.RunPoison): EBR on, reclaim callbacks
 // poisoning and recycling every retired bucket-chain node, concurrent
 // readers asserting no traversal (bucket scan, indexed range scan, or
-// cursor page) ever observes a poisoned or recycled mapping.
+// cursor page) ever observes a poisoned or recycled mapping. On the
+// 2-bucket table long chains recycle under readers mid-traversal.
 
-func TestLazyPoison(t *testing.T) {
-	settest.RunPoison(t, func(o core.Options) core.Set { return NewLazy(o) })
-}
-
-func TestLazySmallTablePoison(t *testing.T) {
-	// A 2-bucket table forces heavy chain sharing: long chains recycle
-	// under readers mid-traversal.
-	settest.RunPoison(t, func(o core.Options) core.Set {
-		o.Buckets = 2
-		return NewLazy(o)
-	})
-}
-
-func TestCOWPoison(t *testing.T) {
-	settest.RunPoison(t, func(o core.Options) core.Set { return NewCOW(o) })
-}
-
-func TestStripedPoison(t *testing.T) {
-	settest.RunPoison(t, func(o core.Options) core.Set { return NewStriped(o) })
-}
-
-func TestBucketedLockCouplingPoison(t *testing.T) {
-	info, _ := core.Lookup("hashtable/lockcoupling")
-	settest.RunPoison(t, info.New)
-}
-
-func TestBucketedPughPoison(t *testing.T) {
-	info, _ := core.Lookup("hashtable/pugh")
-	settest.RunPoison(t, info.New)
-}
-
-func TestBucketedHarrisPoison(t *testing.T) {
-	info, _ := core.Lookup("hashtable/harris")
-	settest.RunPoison(t, info.New)
-}
-
-func TestBucketedWaitFreePoison(t *testing.T) {
-	info, _ := core.Lookup("hashtable/waitfree")
-	settest.RunPoison(t, info.New)
-}
+func TestLazyPoison(t *testing.T)                 { settest.RunPoison(t, tables["lazy"]) }
+func TestLazySmallTablePoison(t *testing.T)       { settest.RunPoison(t, smallTable) }
+func TestCOWPoison(t *testing.T)                  { settest.RunPoison(t, tables["cow"]) }
+func TestStripedPoison(t *testing.T)              { settest.RunPoison(t, tables["striped"]) }
+func TestBucketedLockCouplingPoison(t *testing.T) { settest.RunPoison(t, tables["lockcoupling"]) }
+func TestBucketedPughPoison(t *testing.T)         { settest.RunPoison(t, tables["pugh"]) }
+func TestBucketedHarrisPoison(t *testing.T)       { settest.RunPoison(t, tables["harris"]) }
+func TestBucketedWaitFreePoison(t *testing.T)     { settest.RunPoison(t, tables["waitfree"]) }

@@ -10,97 +10,47 @@ import (
 	"csds/internal/xrand"
 )
 
-func TestLazy(t *testing.T) {
-	settest.Run(t, func(o core.Options) core.Set { return NewLazy(o) })
+// lists is the package's conformance roster, by registry short name.
+var lists = map[string]settest.Factory{
+	"lazy":         func(o core.Options) core.Set { return NewLazy(o) },
+	"lockcoupling": func(o core.Options) core.Set { return NewLockCoupling(o) },
+	"pugh":         func(o core.Options) core.Set { return NewPugh(o) },
+	"cow":          func(o core.Options) core.Set { return NewCOW(o) },
+	"harris":       func(o core.Options) core.Set { return NewHarris(o) },
+	"waitfree":     func(o core.Options) core.Set { return NewWaitFree(o) },
 }
 
-func TestLazyElided(t *testing.T) {
-	settest.RunElided(t, func(o core.Options) core.Set { return NewLazy(o) })
-}
+func TestLazy(t *testing.T)         { settest.Run(t, lists["lazy"]) }
+func TestLazyElided(t *testing.T)   { settest.RunElided(t, lists["lazy"]) }
+func TestLockCoupling(t *testing.T) { settest.Run(t, lists["lockcoupling"]) }
+func TestPugh(t *testing.T)         { settest.Run(t, lists["pugh"]) }
+func TestCOW(t *testing.T)          { settest.Run(t, lists["cow"]) }
+func TestHarris(t *testing.T)       { settest.Run(t, lists["harris"]) }
+func TestWaitFree(t *testing.T)     { settest.Run(t, lists["waitfree"]) }
 
-func TestLazyEBR(t *testing.T) {
-	settest.RunEBR(t, func(o core.Options) core.Set { return NewLazy(o) })
-}
-
-func TestLockCoupling(t *testing.T) {
-	settest.Run(t, func(o core.Options) core.Set { return NewLockCoupling(o) })
-}
-
-func TestPugh(t *testing.T) {
-	settest.Run(t, func(o core.Options) core.Set { return NewPugh(o) })
-}
-
-func TestCOW(t *testing.T) {
-	settest.Run(t, func(o core.Options) core.Set { return NewCOW(o) })
-}
-
-func TestHarris(t *testing.T) {
-	settest.Run(t, func(o core.Options) core.Set { return NewHarris(o) })
-}
-
-func TestHarrisEBR(t *testing.T) {
-	settest.RunEBR(t, func(o core.Options) core.Set { return NewHarris(o) })
-}
-
-func TestWaitFree(t *testing.T) {
-	settest.Run(t, func(o core.Options) core.Set { return NewWaitFree(o) })
-}
-
-// TestScanners runs the linearizable range-scan battery on every list:
-// all six are ordered structures, so scans promise ascending key order.
+// TestScanners runs the linearizable range-scan battery on every list.
 func TestScanners(t *testing.T) {
-	for name, mk := range map[string]func(core.Options) core.Set{
-		"lazy":         func(o core.Options) core.Set { return NewLazy(o) },
-		"lockcoupling": func(o core.Options) core.Set { return NewLockCoupling(o) },
-		"pugh":         func(o core.Options) core.Set { return NewPugh(o) },
-		"cow":          func(o core.Options) core.Set { return NewCOW(o) },
-		"harris":       func(o core.Options) core.Set { return NewHarris(o) },
-		"waitfree":     func(o core.Options) core.Set { return NewWaitFree(o) },
-	} {
-		t.Run(name, func(t *testing.T) { settest.RunScanner(t, mk, true) })
+	for name, f := range lists {
+		t.Run(name, func(t *testing.T) { settest.RunScanner(t, f) })
 	}
 }
 
-// TestLazyScannerElided re-runs the scan battery with HTM elision on the
-// update paths: the guard windows inside elided critical sections must
-// validate scans exactly like the plain-lock paths.
+// TestLazyScannerElided runs the whole scan battery with HTM elision on
+// the update paths: the guard windows inside elided critical sections
+// must validate scans exactly like the plain-lock paths. (The battery's
+// own Elided leg under TestScanners re-runs only its concurrent bodies.)
 func TestLazyScannerElided(t *testing.T) {
 	settest.RunScanner(t, func(o core.Options) core.Set {
 		o.ElideAttempts = 5
 		return NewLazy(o)
-	}, true)
+	})
 }
 
 // TestCursors runs the paginated-iteration battery on every list:
 // resumable pages, ascending, duplicate-free, anchor-complete.
 func TestCursors(t *testing.T) {
-	for name, mk := range map[string]func(core.Options) core.Set{
-		"lazy":         func(o core.Options) core.Set { return NewLazy(o) },
-		"lockcoupling": func(o core.Options) core.Set { return NewLockCoupling(o) },
-		"pugh":         func(o core.Options) core.Set { return NewPugh(o) },
-		"cow":          func(o core.Options) core.Set { return NewCOW(o) },
-		"harris":       func(o core.Options) core.Set { return NewHarris(o) },
-		"waitfree":     func(o core.Options) core.Set { return NewWaitFree(o) },
-	} {
-		t.Run(name, func(t *testing.T) { settest.RunCursor(t, mk) })
-	}
-}
-
-// TestBatchers runs the batched-operation battery on every list: model
-// conformance over random batch shapes (duplicates, misses, empties),
-// caller-order delivery, and the concurrent batch algebra — covering
-// both the bespoke single-traversal paths (lazy, lockcoupling, cow,
-// harris reads) and the generic sorted delegation (pugh, waitfree).
-func TestBatchers(t *testing.T) {
-	for name, mk := range map[string]func(core.Options) core.Set{
-		"lazy":         func(o core.Options) core.Set { return NewLazy(o) },
-		"lockcoupling": func(o core.Options) core.Set { return NewLockCoupling(o) },
-		"pugh":         func(o core.Options) core.Set { return NewPugh(o) },
-		"cow":          func(o core.Options) core.Set { return NewCOW(o) },
-		"harris":       func(o core.Options) core.Set { return NewHarris(o) },
-		"waitfree":     func(o core.Options) core.Set { return NewWaitFree(o) },
-	} {
-		t.Run(name, func(t *testing.T) { settest.RunBatcher(t, mk) })
+	for name, f := range lists {
+		t.Run(name, func(t *testing.T) { settest.RunCursor(t, f) })
 	}
 }
 
@@ -111,6 +61,24 @@ func TestLazyCursorElided(t *testing.T) {
 		o.ElideAttempts = 5
 		return NewLazy(o)
 	})
+}
+
+// TestCursorPageCost pins O(page) cursor pages on every list.
+func TestCursorPageCost(t *testing.T) {
+	for name, f := range lists {
+		t.Run(name, func(t *testing.T) { settest.RunCursorPageCost(t, f) })
+	}
+}
+
+// TestBatchers runs the batched-operation battery on every list: model
+// conformance over random batch shapes (duplicates, misses, empties),
+// caller-order delivery, and the concurrent batch algebra — covering
+// both the bespoke single-traversal paths (lazy, lockcoupling, cow,
+// harris reads) and the generic sorted delegation (pugh, waitfree).
+func TestBatchers(t *testing.T) {
+	for name, f := range lists {
+		t.Run(name, func(t *testing.T) { settest.RunBatcher(t, f) })
+	}
 }
 
 func TestRegistryEntries(t *testing.T) {

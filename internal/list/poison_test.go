@@ -3,37 +3,21 @@ package list
 import (
 	"testing"
 
-	"csds/internal/core"
 	"csds/internal/settest"
 )
 
 // The poisoning battery (settest.RunPoison): EBR on, reclaim callbacks
 // poisoning and recycling every retired node, concurrent readers
-// asserting no traversal ever observes a poisoned or recycled mapping.
+// asserting no traversal ever observes a poisoned or recycled mapping,
+// churners nesting the structures' epoch brackets inside their own.
 
-func TestLazyPoison(t *testing.T) {
-	settest.RunPoison(t, func(o core.Options) core.Set { return NewLazy(o) })
-}
+func TestLazyPoison(t *testing.T)         { settest.RunPoison(t, lists["lazy"]) }
+func TestLockCouplingPoison(t *testing.T) { settest.RunPoison(t, lists["lockcoupling"]) }
+func TestPughPoison(t *testing.T)         { settest.RunPoison(t, lists["pugh"]) }
+func TestCOWPoison(t *testing.T)          { settest.RunPoison(t, lists["cow"]) }
+func TestHarrisPoison(t *testing.T)       { settest.RunPoison(t, lists["harris"]) }
 
-func TestLockCouplingPoison(t *testing.T) {
-	settest.RunPoison(t, func(o core.Options) core.Set { return NewLockCoupling(o) })
-}
-
-func TestPughPoison(t *testing.T) {
-	settest.RunPoison(t, func(o core.Options) core.Set { return NewPugh(o) })
-}
-
-func TestCOWPoison(t *testing.T) {
-	settest.RunPoison(t, func(o core.Options) core.Set { return NewCOW(o) })
-}
-
-func TestHarrisPoison(t *testing.T) {
-	settest.RunPoison(t, func(o core.Options) core.Set { return NewHarris(o) })
-}
-
-func TestWaitFreePoison(t *testing.T) {
-	// The wait-free list retires with a nil callback (no pool; see
-	// pool.go) — the battery still verifies its brackets and that the
-	// domain drains fully.
-	settest.RunPoison(t, func(o core.Options) core.Set { return NewWaitFree(o) })
-}
+// The wait-free list retires with a nil callback (no pool; see pool.go)
+// — the battery still verifies its brackets and that the domain drains
+// fully.
+func TestWaitFreePoison(t *testing.T) { settest.RunPoison(t, lists["waitfree"]) }

@@ -11,12 +11,14 @@
 //   - the set-theoretic concurrent algebra (successful inserts minus
 //     removes per key equals final presence) holds when every update
 //     travels through batches, including while an elastic composite is
-//     resized underneath (RunBatcherResizable).
+//     resized underneath (the BatchSharedUnderResize and
+//     BatchAnchorsUnderResize legs of core.Resizable sets).
 package settest
 
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"csds/internal/core"
 	"csds/internal/xrand"
@@ -28,74 +30,9 @@ func RunBatcher(t *testing.T, f Factory) {
 	t.Helper()
 	t.Run("SequentialBatchModel", func(t *testing.T) { testSequentialBatchModel(t, f) })
 	t.Run("CallerOrderDelivery", func(t *testing.T) { testCallerOrderDelivery(t, f) })
-	t.Run("ConcurrentBatchShared", func(t *testing.T) {
-		runConcurrentBatchShared(t, mustBatcher(t, f(core.Options{ExpectedSize: 64})))
-	})
-	t.Run("BatchAnchorsDuringChurn", func(t *testing.T) {
-		runBatchAnchorsDuringChurn(t, mustBatcher(t, f(core.Options{ExpectedSize: 128})))
-	})
-}
-
-// RunBatcherSpec executes the batched battery against an algorithm
-// specification resolved through the layered core factory.
-func RunBatcherSpec(t *testing.T, spec string) {
-	t.Helper()
-	f, err := core.NewFactory(spec)
-	if err != nil {
-		t.Fatalf("settest: resolving spec: %v", err)
-	}
-	RunBatcher(t, Factory(f))
-}
-
-// RunBatcherResizable re-runs the concurrent batch bodies while a
-// dedicated goroutine cycles the partition width the whole time: the
-// batch algebra and anchor visibility must hold across grow and shrink
-// migrations racing the batches.
-func RunBatcherResizable(t *testing.T, f Factory) {
-	t.Helper()
-	resizing := func(name string, body func(t *testing.T, s core.Set)) {
-		t.Run(name, func(t *testing.T) {
-			s := f(core.Options{ExpectedSize: 256})
-			rz, ok := s.(core.Resizable)
-			if !ok {
-				t.Fatalf("settest: factory built %T, which is not core.Resizable", s)
-			}
-			if _, ok := s.(core.Batcher); !ok {
-				t.Fatalf("settest: factory built %T, which is not core.Batcher", s)
-			}
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			var resizeErr error // written by the resizer, read after wg.Wait
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				c := core.NewCtx(999)
-				widths := []int{2, 8, 1, 4, 16, 3}
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if err := rz.Resize(c, widths[i%len(widths)]); err != nil {
-						resizeErr = err
-						return
-					}
-				}
-			}()
-			body(t, s)
-			close(stop)
-			wg.Wait()
-			if resizeErr != nil {
-				t.Fatalf("settest: Resize failed during the batch battery: %v", resizeErr)
-			}
-		})
-	}
-	resizing("BatchSharedUnderResize", func(t *testing.T, s core.Set) {
-		runConcurrentBatchShared(t, mustBatcher(t, s))
-	})
-	resizing("BatchAnchorsUnderResize", func(t *testing.T, s core.Set) {
-		runBatchAnchorsDuringChurn(t, mustBatcher(t, s))
+	runLegs(t, f, []leg{
+		{"ConcurrentBatchShared", "BatchSharedUnderResize", core.Options{ExpectedSize: 64}, runConcurrentBatchShared},
+		{"BatchAnchorsDuringChurn", "BatchAnchorsUnderResize", core.Options{ExpectedSize: 128}, runBatchAnchorsDuringChurn},
 	})
 }
 
@@ -296,7 +233,8 @@ func testCallerOrderDelivery(t *testing.T, f Factory) {
 // present→absent transition, so the counts balance for any per-batch
 // linearizable implementation regardless of interleaving. Budgets are
 // op-scaled (scale), never wall-clock.
-func runConcurrentBatchShared(t *testing.T, s batchSet) {
+func runConcurrentBatchShared(t *testing.T, set core.Set) {
+	s := mustBatcher(t, set)
 	const workers = 6
 	batches := scale(600)
 	const keySpace = 32
@@ -369,8 +307,10 @@ func runConcurrentBatchShared(t *testing.T, s batchSet) {
 // anchor key that is never removed, while batched churn happens around
 // it — the per-batch linearization anchor: every MultiGet element must
 // observe some state within its call, and the anchor is present in all
-// of them.
-func runBatchAnchorsDuringChurn(t *testing.T, s batchSet) {
+// of them. The updaters stop at an iteration or a wall budget, whichever
+// ends first (see wallBudget).
+func runBatchAnchorsDuringChurn(t *testing.T, set core.Set) {
+	s := mustBatcher(t, set)
 	c0 := ctx()
 	const anchor = core.Key(500)
 	if !s.Put(c0, anchor, 12345) {
@@ -422,7 +362,11 @@ func runBatchAnchorsDuringChurn(t *testing.T, s batchSet) {
 			rng := xrand.New(uint64(w) + 654)
 			keys := make([]core.Key, 0, 8)
 			pairs := make([]core.KV, 0, 8)
+			deadline := time.Now().Add(wallBudget)
 			for i := 0; i < scale(800); i++ {
+				if time.Now().After(deadline) {
+					break
+				}
 				// Churn keys around (but never equal to) the anchor, in
 				// batches.
 				if rng.Bool(0.5) {

@@ -30,39 +30,42 @@ import (
 // nodes under traversal, large enough for scans to cover real pages.
 const chaosSpan = 96
 
-// ChaosSeeds are the pinned seeds of the standard battery — the CI chaos
+// chaosSeeds are the pinned seeds of the standard battery — the CI chaos
 // job runs exactly these. Three seeds, three different interleaving
-// pressures; a failure reproduces with `-run Chaos` and the seed printed
-// in the subtest name.
-var ChaosSeeds = []uint64{0xC0FFEE, 0xBADC0DE, 0x5EED}
+// pressures; the seed is the last element of the subtest path a failure
+// prints, so `go test -run 'TestLazyChaos/seed=0xc0ffee'` (or
+// `…/Elided/seed=…` for the elided leg) replays that schedule alone.
+var chaosSeeds = []uint64{0xC0FFEE, 0xBADC0DE, 0x5EED}
 
 // RunChaos executes the chaos battery against the factory once per pinned
-// seed (one seed under -short).
+// seed (one seed under -short). A core.Resizable set runs the seeds again
+// in an "UnderResize" subtest, resized the whole time; a set that
+// speculates runs them again in an "Elided" subtest, so the plan's
+// htm.abort drives the abort → retry → fallback path under the same
+// invariants.
 func RunChaos(t *testing.T, f Factory) {
 	t.Helper()
-	seeds := ChaosSeeds
+	seeds := chaosSeeds
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
-	for _, seed := range seeds {
-		t.Run(fmt.Sprintf("seed=%#x", seed), func(t *testing.T) {
-			runChaos(t, f, fault.ChaosPlan(seed))
-		})
+	runSeeds := func(t *testing.T, f Factory, drive driver) {
+		for _, seed := range seeds {
+			t.Run(fmt.Sprintf("seed=%#x", seed), func(t *testing.T) {
+				runChaos(t, f, fault.ChaosPlan(seed), drive)
+			})
+		}
+	}
+	runSeeds(t, f, direct)
+	if resizes(f) {
+		t.Run("UnderResize", func(t *testing.T) { runSeeds(t, f, underResize) })
+	}
+	if ef := elided(f); ef != nil {
+		t.Run("Elided", func(t *testing.T) { runSeeds(t, ef, direct) })
 	}
 }
 
-// RunChaosSpec runs the chaos battery against an algorithm spec resolved
-// through the layered core factory.
-func RunChaosSpec(t *testing.T, spec string) {
-	t.Helper()
-	f, err := core.NewFactory(spec)
-	if err != nil {
-		t.Fatalf("settest: resolving spec: %v", err)
-	}
-	RunChaos(t, Factory(f))
-}
-
-func runChaos(t *testing.T, f Factory, plan *fault.Plan) {
+func runChaos(t *testing.T, f Factory, plan *fault.Plan, drive driver) {
 	t.Helper()
 	dom := ebr.NewDomain()
 	s := f(core.Options{Domain: dom, ExpectedSize: chaosSpan})
@@ -78,42 +81,6 @@ func runChaos(t *testing.T, f Factory, plan *fault.Plan) {
 	var wg, awg sync.WaitGroup
 	stop := make(chan struct{})
 
-	// The reclamation antagonist: stalls inside epoch brackets (holding
-	// the global epoch back while everyone else retires into limbo) and
-	// abandons records active-without-exit (Unregister's force-exit must
-	// absorb them). It runs throwaway records so the main workers' own
-	// reclamation discipline stays untouched. The workload decides the
-	// duration: the antagonist runs until the workers finish (its own
-	// WaitGroup — it stops on the channel the workers' wait closes).
-	antIn := fault.NewInjector(plan, uint64(workers), tally)
-	if plan.Enabled(fault.EBRStall) || plan.Enabled(fault.EBRAbandon) {
-		awg.Add(1)
-		go func() {
-			defer awg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if antIn.Fire(fault.EBRStall) {
-					r := dom.Register()
-					r.Enter()
-					fault.Spin(antIn.Duration(fault.EBRStall))
-					r.Exit()
-					r.Unregister()
-				}
-				if antIn.Fire(fault.EBRAbandon) {
-					r := dom.Register()
-					r.Enter()
-					// No Exit: the panicking-worker shape.
-					r.Unregister()
-				}
-				runtime.Gosched()
-			}
-		}()
-	}
-
 	var errMu sync.Mutex
 	var firstErr error
 	fail := func(format string, args ...any) {
@@ -124,65 +91,103 @@ func runChaos(t *testing.T, f Factory, plan *fault.Plan) {
 		errMu.Unlock()
 	}
 
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			inj := fault.NewInjector(plan, uint64(w), tally)
-			c := core.NewCtx(w)
-			c.Epoch = dom.Register()
-			defer c.Epoch.Unregister()
-			c.Fault = inj
-			rng := xrand.New(uint64(w)*0x9e3779b97f4a7c15 + 3)
-			check := func(where string, k core.Key, v core.Value) bool {
-				if k == core.PoisonKey || v == core.PoisonValue {
-					fail("%s observed a poisoned node: key %d value %d", where, k, v)
-					return false
-				}
-				if v != core.Value(k) {
-					fail("%s observed impossible mapping %d -> %d (want %d)", where, k, v, core.Value(k))
-					return false
-				}
-				return true
-			}
-			for i := 0; i < iters; i++ {
-				inj.Delay(fault.OpDelay)
-				k := core.Key(rng.Int63n(chaosSpan))
-				switch {
-				case scanner != nil && i%32 == 9:
-					scanner.Scan(c, 0, chaosSpan, func(k core.Key, v core.Value) bool {
-						return check("Scan", k, v)
-					})
-				case cursor != nil && i%32 == 21:
-					pos := core.Key(0)
-					for done := false; !done; {
-						pos, done = cursor.CursorNext(c, pos, chaosSpan, 8, func(k core.Key, v core.Value) bool {
-							return check("CursorNext", k, v)
-						})
+	drive(t, s, dom, func() {
+		// The reclamation antagonist: stalls inside epoch brackets (holding
+		// the global epoch back while everyone else retires into limbo) and
+		// abandons records active-without-exit (Unregister's force-exit must
+		// absorb them). It runs throwaway records so the main workers' own
+		// reclamation discipline stays untouched. The workload decides the
+		// duration: the antagonist runs until the workers finish (its own
+		// WaitGroup — it stops on the channel the workers' wait closes).
+		antIn := fault.NewInjector(plan, uint64(workers), tally)
+		if plan.Enabled(fault.EBRStall) || plan.Enabled(fault.EBRAbandon) {
+			awg.Add(1)
+			go func() {
+				defer awg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
 					}
-				case rng.Bool(0.3):
-					if v, ok := s.Get(c, k); ok {
-						check("Get", k, v)
+					if antIn.Fire(fault.EBRStall) {
+						r := dom.Register()
+						r.Enter()
+						fault.Spin(antIn.Duration(fault.EBRStall))
+						r.Exit()
+						r.Unregister()
 					}
-				case rng.Bool(0.5):
-					if s.Put(c, k, core.Value(k)) {
-						ledgers[w][k].ins++
+					if antIn.Fire(fault.EBRAbandon) {
+						r := dom.Register()
+						r.Enter()
+						// No Exit: the panicking-worker shape.
+						r.Unregister()
 					}
-				default:
-					if s.Remove(c, k) {
-						ledgers[w][k].rem++
-					}
-				}
-				if i&63 == 0 {
 					runtime.Gosched()
 				}
-			}
-		}(w)
-	}
+			}()
+		}
 
-	wg.Wait()
-	close(stop)
-	awg.Wait()
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				inj := fault.NewInjector(plan, uint64(w), tally)
+				c := core.NewCtx(w)
+				c.Epoch = dom.Register()
+				defer c.Epoch.Unregister()
+				c.Fault = inj
+				rng := xrand.New(uint64(w)*0x9e3779b97f4a7c15 + 3)
+				check := func(where string, k core.Key, v core.Value) bool {
+					if k == core.PoisonKey || v == core.PoisonValue {
+						fail("%s observed a poisoned node: key %d value %d", where, k, v)
+						return false
+					}
+					if v != core.Value(k) {
+						fail("%s observed impossible mapping %d -> %d (want %d)", where, k, v, core.Value(k))
+						return false
+					}
+					return true
+				}
+				for i := 0; i < iters; i++ {
+					inj.Delay(fault.OpDelay)
+					k := core.Key(rng.Int63n(chaosSpan))
+					switch {
+					case scanner != nil && i%32 == 9:
+						scanner.Scan(c, 0, chaosSpan, func(k core.Key, v core.Value) bool {
+							return check("Scan", k, v)
+						})
+					case cursor != nil && i%32 == 21:
+						pos := core.Key(0)
+						for done := false; !done; {
+							pos, done = cursor.CursorNext(c, pos, chaosSpan, 8, func(k core.Key, v core.Value) bool {
+								return check("CursorNext", k, v)
+							})
+						}
+					case rng.Bool(0.3):
+						if v, ok := s.Get(c, k); ok {
+							check("Get", k, v)
+						}
+					case rng.Bool(0.5):
+						if s.Put(c, k, core.Value(k)) {
+							ledgers[w][k].ins++
+						}
+					default:
+						if s.Remove(c, k) {
+							ledgers[w][k].rem++
+						}
+					}
+					if i&63 == 0 {
+						runtime.Gosched()
+					}
+				}
+			}(w)
+		}
+
+		wg.Wait()
+		close(stop)
+		awg.Wait()
+	})
 	if firstErr != nil {
 		t.Fatalf("settest: chaos battery (plan %s): %v", plan, firstErr)
 	}

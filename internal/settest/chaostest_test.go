@@ -18,11 +18,7 @@ func TestChaosTallyDeterministic(t *testing.T) {
 	run := func() map[fault.Point]uint64 {
 		plan := fault.ChaosPlan(42)
 		tally := fault.NewTally()
-		f, err := core.NewFactory("list/lazy")
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := f(core.Options{ExpectedSize: chaosSpan})
+		s := spec(t, "list/lazy")(core.Options{ExpectedSize: chaosSpan})
 		scanner := s.(core.Scanner)
 		c := core.NewCtx(0)
 		c.Fault = fault.NewInjector(plan, 0, tally)
@@ -56,8 +52,7 @@ func TestChaosTallyDeterministic(t *testing.T) {
 }
 
 // The battery must reject nothing the standard suites accept: run it on a
-// composite spec end to end (this is also the RunChaosSpec entry point's
-// own test).
+// composite spec end to end.
 func TestRunChaosSpecSmoke(t *testing.T) {
-	RunChaosSpec(t, "sharded(2,list/lazy)")
+	RunChaos(t, spec(t, "sharded(2,list/lazy)"))
 }

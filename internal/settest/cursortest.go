@@ -16,8 +16,8 @@
 //     through Encode/Decode/ResumeCursor between every two pages sees
 //     exactly the same guarantees, because no server-side state exists.
 //
-// RunCursorResizable re-runs the concurrent battery while a dedicated
-// goroutine grows and shrinks the partition width, so elastic composites
+// On core.Resizable sets the churn body runs again while the partition
+// width is grown and shrunk (CursorUnderResize), so elastic composites
 // prove their pagination correct across concurrent Resizes: a token
 // minted under an 8-shard map must resume seamlessly under a 2- or
 // 16-shard one.
@@ -32,71 +32,16 @@ import (
 	"csds/internal/xrand"
 )
 
-// RunCursor executes the paginated-iteration battery. There is no
-// ordered parameter (unlike RunScanner): cursor pages are ascending by
-// contract on every structure, because key order is the only order a
-// churning structure can resume from.
+// RunCursor executes the paginated-iteration battery. Cursor pages are
+// ascending by contract on every structure, because key order is the
+// only order a churning structure can resume from.
 func RunCursor(t *testing.T, f Factory) {
 	t.Helper()
 	t.Run("CursorSequentialModel", func(t *testing.T) { testCursorSequential(t, f) })
 	t.Run("CursorPageBudget", func(t *testing.T) { testCursorPageBudget(t, f) })
 	t.Run("CursorEarlyStop", func(t *testing.T) { testCursorEarlyStop(t, f) })
 	t.Run("CursorTokenCodec", func(t *testing.T) { testCursorTokenCodec(t, f) })
-	t.Run("CursorUnderChurn", func(t *testing.T) {
-		runCursorUnderChurn(t, f(scanOptions()))
-	})
-}
-
-// RunCursorSpec resolves an algorithm spec through the layered factory
-// and runs the cursor battery against it.
-func RunCursorSpec(t *testing.T, spec string) {
-	t.Helper()
-	f, err := core.NewFactory(spec)
-	if err != nil {
-		t.Fatalf("settest: resolving spec: %v", err)
-	}
-	RunCursor(t, Factory(f))
-}
-
-// RunCursorResizable executes the concurrent cursor battery while the
-// partition width is cycled underneath it, exactly like RunResizable:
-// pagination must stay duplicate-free and anchor-complete across any
-// number of migrations, and tokens must stay valid across every swap.
-func RunCursorResizable(t *testing.T, f Factory) {
-	t.Helper()
-	t.Run("CursorUnderResize", func(t *testing.T) {
-		s := f(scanOptions())
-		rz, ok := s.(core.Resizable)
-		if !ok {
-			t.Fatalf("settest: factory built %T, which is not core.Resizable", s)
-		}
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		var resizeErr error
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := core.NewCtx(999)
-			widths := []int{2, 8, 1, 4, 16, 3}
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if err := rz.Resize(c, widths[i%len(widths)]); err != nil {
-					resizeErr = err
-					return
-				}
-			}
-		}()
-		runCursorUnderChurn(t, s)
-		close(stop)
-		wg.Wait()
-		if resizeErr != nil {
-			t.Fatalf("settest: Resize failed during the cursor battery: %v", resizeErr)
-		}
-	})
+	runLegs(t, f, []leg{{"CursorUnderChurn", "CursorUnderResize", scanOptions(), runCursorUnderChurn}})
 }
 
 // RunCursorPageCost pins the page-cost contract of the Cursor extension
@@ -244,7 +189,7 @@ func testCursorSequential(t *testing.T, f Factory) {
 		if len(got) != want {
 			t.Fatalf("step %d: pagination of [%d, %d) returned %d keys, model has %d", i, lo, hi, len(got), want)
 		}
-		if msg := snapshotViolation(got, lo, hi, true, nil, func(k core.Key) bool {
+		if msg := snapshotViolation(got, lo, hi, nil, func(k core.Key) bool {
 			_, in := model[k]
 			return in
 		}); msg != "" {
@@ -398,8 +343,8 @@ func testCursorTokenCodec(t *testing.T, f Factory) {
 // snapshotViolation — in particular no anchor may be missed or
 // double-reported across a whole paginated iteration, which is exactly
 // the no-lost-keys/no-duplicates contract of resumable cursors. The
-// structure is taken pre-built so RunCursorResizable can race the same
-// body against Resize.
+// structure is taken pre-built so the resize leg can race the same body
+// against Resize.
 func runCursorUnderChurn(t *testing.T, s core.Set) {
 	if _, ok := s.(core.Cursor); !ok {
 		t.Fatalf("settest: %T does not implement core.Cursor", s)
@@ -451,7 +396,7 @@ func runCursorUnderChurn(t *testing.T, s core.Set) {
 				page := 1 + int(rng.Uint64n(32))
 				got, msg := paginate(c, s, lo, hi, page, i%2 == 0)
 				if msg == "" {
-					msg = snapshotViolation(got, lo, hi, true, anchors, churnOK)
+					msg = snapshotViolation(got, lo, hi, anchors, churnOK)
 				}
 				if msg != "" {
 					select {
@@ -475,7 +420,7 @@ func runCursorUnderChurn(t *testing.T, s core.Set) {
 	if msg != "" {
 		t.Fatal(msg)
 	}
-	if msg := snapshotViolation(got, 0, scanKeySpan, true, anchors, churnOK); msg != "" {
+	if msg := snapshotViolation(got, 0, scanKeySpan, anchors, churnOK); msg != "" {
 		t.Fatal(msg)
 	}
 	for _, p := range got {

@@ -8,12 +8,14 @@
 //     keys that are never updated always appear with their original
 //     values, and keys never inserted never appear;
 //   - no duplicates, ever;
-//   - ascending key order on structures that promise it;
+//   - ascending key order (every structure in the module, hash tables
+//     included through their ordered key index, and every combinator over
+//     them scans ascending);
 //   - only in-range keys, and only keys the workload could have inserted.
 //
-// RunScannerResizable re-runs the concurrent battery while a dedicated
-// goroutine grows and shrinks the partition width, so elastic composites
-// prove their scans correct across concurrent Resizes.
+// On core.Resizable sets the churn body runs again while the partition
+// width is grown and shrunk (ScanUnderResize), so elastic composites prove
+// their scans correct across concurrent Resizes.
 package settest
 
 import (
@@ -25,69 +27,16 @@ import (
 	"csds/internal/xrand"
 )
 
-// RunScanner executes the range-scan battery. ordered declares whether
-// the implementation promises ascending key order (every ordered
-// structure and every combinator over them does; monolithic hash tables
-// and their buckets do not).
-func RunScanner(t *testing.T, f Factory, ordered bool) {
+// RunScanner executes the range-scan battery. The built set must
+// implement core.Scanner.
+func RunScanner(t *testing.T, f Factory) {
 	t.Helper()
-	t.Run("ScanSequentialModel", func(t *testing.T) { testScanSequential(t, f, ordered) })
+	t.Run("ScanSequentialModel", func(t *testing.T) { testScanSequential(t, f) })
 	t.Run("ScanEarlyStop", func(t *testing.T) { testScanEarlyStop(t, f) })
 	t.Run("ScanBounds", func(t *testing.T) { testScanBounds(t, f) })
-	t.Run("ScanUnderChurn", func(t *testing.T) {
-		runScanUnderChurn(t, f(scanOptions()), ordered)
-	})
-	t.Run("ScanContendedValidation", func(t *testing.T) { testScanContended(t, f, ordered) })
-}
-
-// RunScannerSpec resolves an algorithm spec through the layered factory
-// and runs the scan battery against it.
-func RunScannerSpec(t *testing.T, spec string, ordered bool) {
-	t.Helper()
-	f, err := core.NewFactory(spec)
-	if err != nil {
-		t.Fatalf("settest: resolving spec: %v", err)
-	}
-	RunScanner(t, Factory(f), ordered)
-}
-
-// RunScannerResizable executes the concurrent scan battery while the
-// partition width is cycled underneath it, exactly like RunResizable:
-// snapshots must stay consistent across any number of migrations.
-func RunScannerResizable(t *testing.T, f Factory, ordered bool) {
-	t.Helper()
-	t.Run("ScanUnderResize", func(t *testing.T) {
-		s := f(scanOptions())
-		rz, ok := s.(core.Resizable)
-		if !ok {
-			t.Fatalf("settest: factory built %T, which is not core.Resizable", s)
-		}
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		var resizeErr error
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := core.NewCtx(999)
-			widths := []int{2, 8, 1, 4, 16, 3}
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if err := rz.Resize(c, widths[i%len(widths)]); err != nil {
-					resizeErr = err
-					return
-				}
-			}
-		}()
-		runScanUnderChurn(t, s, ordered)
-		close(stop)
-		wg.Wait()
-		if resizeErr != nil {
-			t.Fatalf("settest: Resize failed during the scan battery: %v", resizeErr)
-		}
+	runLegs(t, f, []leg{
+		{"ScanUnderChurn", "ScanUnderResize", scanOptions(), runScanUnderChurn},
+		{"ScanContendedValidation", "", core.Options{ExpectedSize: 64, KeySpan: 32}, runScanContended},
 	})
 }
 
@@ -108,10 +57,10 @@ func anchorVal(k core.Key) core.Value { return core.Value(k)*2 + 1 }
 // copy of the checker). anchors maps permanently-present keys to their
 // fixed values; churnOK reports whether a non-anchor key could
 // legitimately appear.
-func checkSnapshot(t *testing.T, got []core.ScanPair, lo, hi core.Key, ordered bool,
+func checkSnapshot(t *testing.T, got []core.ScanPair, lo, hi core.Key,
 	anchors map[core.Key]core.Value, churnOK func(core.Key) bool) {
 	t.Helper()
-	if msg := snapshotViolation(got, lo, hi, ordered, anchors, churnOK); msg != "" {
+	if msg := snapshotViolation(got, lo, hi, anchors, churnOK); msg != "" {
 		t.Fatal(msg)
 	}
 }
@@ -128,7 +77,7 @@ func collect(c *core.Ctx, sc core.Scanner, lo, hi core.Key) []core.ScanPair {
 
 // testScanSequential checks scans against a model map with no
 // concurrency: every window must match the model's slice exactly.
-func testScanSequential(t *testing.T, f Factory, ordered bool) {
+func testScanSequential(t *testing.T, f Factory) {
 	s := f(scanOptions())
 	sc, ok := s.(core.Scanner)
 	if !ok {
@@ -164,7 +113,7 @@ func testScanSequential(t *testing.T, f Factory, ordered bool) {
 		if len(got) != want {
 			t.Fatalf("step %d: scan [%d, %d) returned %d keys, model has %d", i, lo, hi, len(got), want)
 		}
-		checkSnapshot(t, got, lo, hi, ordered, nil, func(k core.Key) bool {
+		checkSnapshot(t, got, lo, hi, nil, func(k core.Key) bool {
 			_, in := model[k]
 			return in
 		})
@@ -223,9 +172,9 @@ func testScanBounds(t *testing.T, f Factory) {
 // keys, hammered by updaters) while scanners take random windows. Every
 // snapshot must satisfy checkSnapshot; anchors in particular are
 // present for every scan's whole window and must never be missed. The
-// structure is taken pre-built so RunScannerResizable can race the same
-// body against Resize.
-func runScanUnderChurn(t *testing.T, s core.Set, ordered bool) {
+// structure is taken pre-built so the resize leg can race the same body
+// against Resize.
+func runScanUnderChurn(t *testing.T, s core.Set) {
 	sc, ok := s.(core.Scanner)
 	if !ok {
 		t.Fatalf("settest: %T does not implement core.Scanner", s)
@@ -279,7 +228,7 @@ func runScanUnderChurn(t *testing.T, s core.Set, ordered bool) {
 					hi = scanKeySpan
 				}
 				got := collect(c, sc, lo, hi)
-				if msg := snapshotViolation(got, lo, hi, ordered, anchors, churnOK); msg != "" {
+				if msg := snapshotViolation(got, lo, hi, anchors, churnOK); msg != "" {
 					select {
 					case errs <- msg:
 					default:
@@ -298,7 +247,7 @@ func runScanUnderChurn(t *testing.T, s core.Set, ordered bool) {
 	// Quiesced: one last full scan must now be exact — anchors plus
 	// whatever odd keys survived, matching Get key by key.
 	got := collect(c0, sc, 0, scanKeySpan)
-	checkSnapshot(t, got, 0, scanKeySpan, ordered, anchors, churnOK)
+	checkSnapshot(t, got, 0, scanKeySpan, anchors, churnOK)
 	for _, p := range got {
 		if v, in := s.Get(c0, p.K); !in || v != p.V {
 			t.Fatalf("quiesced scan returned (%d, %d) but Get says (%d, %v)", p.K, p.V, v, in)
@@ -311,7 +260,7 @@ func runScanUnderChurn(t *testing.T, s core.Set, ordered bool) {
 
 // snapshotViolation is checkSnapshot for goroutines that cannot call
 // t.Fatalf: it returns a description of the first violation, or "".
-func snapshotViolation(got []core.ScanPair, lo, hi core.Key, ordered bool,
+func snapshotViolation(got []core.ScanPair, lo, hi core.Key,
 	anchors map[core.Key]core.Value, churnOK func(core.Key) bool) string {
 	seen := make(map[core.Key]bool, len(got))
 	for i, p := range got {
@@ -320,7 +269,7 @@ func snapshotViolation(got []core.ScanPair, lo, hi core.Key, ordered bool,
 			return fmt.Sprintf("scan [%d, %d) returned out-of-range key %d", lo, hi, p.K)
 		case seen[p.K]:
 			return fmt.Sprintf("scan [%d, %d) returned key %d twice", lo, hi, p.K)
-		case ordered && i > 0 && got[i-1].K >= p.K:
+		case i > 0 && got[i-1].K >= p.K:
 			return fmt.Sprintf("scan [%d, %d) out of order: key %d before %d", lo, hi, got[i-1].K, p.K)
 		}
 		seen[p.K] = true
@@ -344,8 +293,7 @@ func snapshotViolation(got []core.ScanPair, lo, hi core.Key, ordered bool,
 // fallback paths: a tiny hot range under maximal update pressure, with
 // scanners pinned to exactly that range. Anchor consistency must survive
 // even when every optimistic attempt is invalidated.
-func testScanContended(t *testing.T, f Factory, ordered bool) {
-	s := f(core.Options{ExpectedSize: 64, KeySpan: 32})
+func runScanContended(t *testing.T, s core.Set) {
 	sc, ok := s.(core.Scanner)
 	if !ok {
 		t.Fatalf("settest: %T does not implement core.Scanner", s)
@@ -387,7 +335,7 @@ func testScanContended(t *testing.T, f Factory, ordered bool) {
 			c := core.NewCtx(200 + r)
 			for i := 0; i < scans; i++ {
 				got := collect(c, sc, 0, 32)
-				if msg := snapshotViolation(got, 0, 32, ordered, anchors, churnOK); msg != "" {
+				if msg := snapshotViolation(got, 0, 32, anchors, churnOK); msg != "" {
 					select {
 					case errs <- msg:
 					default:

@@ -1,20 +1,26 @@
 // Package settest is a reusable conformance and stress suite for core.Set
-// implementations. Every algorithm package runs the same battery:
+// implementations. Every algorithm package runs the same batteries:
 //
-//   - sequential semantics against a model map (directed and randomized,
-//     including a testing/quick property run);
-//   - set-theoretic concurrent invariants: for every key, the number of
+//   - Run, the set battery: sequential semantics against a model map
+//     (directed and randomized, including a testing/quick property run);
+//     set-theoretic concurrent invariants — for every key, the number of
 //     successful inserts minus successful removes equals its final
 //     presence (each successful Put is an absent→present transition and
 //     each successful Remove a present→absent transition, so the algebra
-//     holds for any linearizable set regardless of interleaving);
-//   - disjoint-key concurrency (each worker owns a key range; its slice of
-//     the structure must match its private model exactly);
-//   - EBR integration (when a domain is supplied, retired never exceeds
-//     removed and readers never observe reclaimed state);
-//   - concurrent-resize conformance for core.Resizable composites: the
-//     same invariants hold while the partition width is grown and shrunk
-//     underneath the workload (RunResizable).
+//     holds for any linearizable set regardless of interleaving); and
+//     disjoint-key concurrency (each worker owns a key range; its slice
+//     of the structure must match its private model exactly);
+//   - RunScanner, RunCursor, RunCursorPageCost and RunBatcher for the
+//     core.Scanner, core.Cursor and core.Batcher extensions;
+//   - RunPoison (EBR reclamation) and RunChaos (seeded fault injection).
+//
+// Each battery probes the set its factory builds and adds the legs the
+// set's capabilities admit, so no caller has to remember them:
+//
+//   - core.Resizable: the battery's concurrent bodies run again while one
+//     shared resize driver grows and shrinks the partition underneath;
+//   - speculation (lock elision): the concurrent bodies run again, in an
+//     "Elided" subtest, with Options.ElideAttempts set.
 package settest
 
 import (
@@ -32,21 +38,7 @@ import (
 // Factory builds a fresh empty set with the given options.
 type Factory func(core.Options) core.Set
 
-// RunSpec executes the full battery against an algorithm specification —
-// plain ("list/lazy") or composite ("sharded(16,list/lazy)") — resolved
-// through the layered core factory. The caller's test package must import
-// the implementation (and, for composites, csds/internal/combinator)
-// packages so the registries are populated.
-func RunSpec(t *testing.T, spec string) {
-	t.Helper()
-	f, err := core.NewFactory(spec)
-	if err != nil {
-		t.Fatalf("settest: resolving spec: %v", err)
-	}
-	Run(t, Factory(f))
-}
-
-// Run executes the full battery against the factory.
+// Run executes the set battery against the factory.
 func Run(t *testing.T, f Factory) {
 	t.Helper()
 	t.Run("EmptyBehaviour", func(t *testing.T) { testEmpty(t, f) })
@@ -54,114 +46,154 @@ func Run(t *testing.T, f Factory) {
 	t.Run("OrderedFill", func(t *testing.T) { testOrderedFill(t, f) })
 	t.Run("SequentialModel", func(t *testing.T) { testSequentialModel(t, f) })
 	t.Run("QuickProperty", func(t *testing.T) { testQuickProperty(t, f) })
-	t.Run("ConcurrentSharedKeys", func(t *testing.T) { testConcurrentShared(t, f) })
-	t.Run("ConcurrentDisjointKeys", func(t *testing.T) { testConcurrentDisjoint(t, f) })
-	t.Run("ConcurrentReadersDuringUpdates", func(t *testing.T) { testReadersDuringUpdates(t, f) })
+	runLegs(t, f, []leg{
+		{"ConcurrentSharedKeys", "SharedKeysUnderResize", core.Options{ExpectedSize: 64}, runConcurrentShared},
+		{"ConcurrentDisjointKeys", "", core.Options{ExpectedSize: 1024}, runConcurrentDisjoint},
+		{"ConcurrentReadersDuringUpdates", "ReadersDuringResize", core.Options{ExpectedSize: 128}, runReadersDuringUpdates},
+	})
 }
 
-// RunElided re-runs the concurrent battery with HTM elision enabled, for
-// structures that support it.
+// RunElided re-runs part of the set battery with HTM elision enabled.
+// Run's Elided leg covers the concurrent bodies on every speculating set;
+// this entry point serves the per-structure ...Elided tests, which also
+// check the sequential bodies under elision.
 func RunElided(t *testing.T, f Factory) {
 	t.Helper()
-	wrap := func(o core.Options) core.Set {
-		o.ElideAttempts = 5
-		return f(o)
-	}
+	wrap := elide(f)
 	t.Run("ElidedBasic", func(t *testing.T) { testBasic(t, wrap) })
 	t.Run("ElidedSequentialModel", func(t *testing.T) { testSequentialModel(t, wrap) })
-	t.Run("ElidedConcurrentShared", func(t *testing.T) { testConcurrentShared(t, wrap) })
-	t.Run("ElidedConcurrentDisjoint", func(t *testing.T) { testConcurrentDisjoint(t, wrap) })
+	t.Run("ElidedConcurrentShared", func(t *testing.T) { runConcurrentShared(t, wrap(core.Options{ExpectedSize: 64})) })
+	t.Run("ElidedConcurrentDisjoint", func(t *testing.T) { runConcurrentDisjoint(t, wrap(core.Options{ExpectedSize: 1024})) })
 }
 
-// RunResizable executes the concurrent battery against a core.Resizable
-// factory while a dedicated goroutine resizes the structure the whole
-// time, cycling the width up and down so both grow and shrink migrations
-// race the workload. The linearizability checks are the same set-algebra
-// and anchor-visibility arguments as the static battery: they must hold
-// regardless of how often the partition is reshaped underneath.
-func RunResizable(t *testing.T, f Factory) {
+// A leg is one concurrent body of a battery, run on a set built with
+// opts. underResize names the body's run under the resize driver; a
+// body without one ("") is not re-run there.
+type leg struct {
+	name, underResize string
+	opts              core.Options
+	run               func(t *testing.T, s core.Set)
+}
+
+// runLegs runs a battery's concurrent bodies once each, then the legs the
+// built set admits: under the resize driver for core.Resizable sets, and
+// in an "Elided" subtest for sets that speculate. The linearizability
+// checks are the same in every leg: they must hold however often the
+// partition is reshaped underneath and whichever path, speculative or
+// locked, an update takes.
+func runLegs(t *testing.T, f Factory, legs []leg) {
 	t.Helper()
-	resizing := func(name string, body func(t *testing.T, s core.Set)) {
-		t.Run(name, func(t *testing.T) {
-			s := f(core.Options{ExpectedSize: 256})
-			rz, ok := s.(core.Resizable)
-			if !ok {
-				t.Fatalf("settest: factory built %T, which is not core.Resizable", s)
+	for _, l := range legs {
+		t.Run(l.name, func(t *testing.T) { l.run(t, f(l.opts)) })
+	}
+	if resizes(f) {
+		for _, l := range legs {
+			if l.underResize == "" {
+				continue
 			}
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			var resizeErr error // written by the resizer, read after wg.Wait
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				c := core.NewCtx(999)
-				widths := []int{2, 8, 1, 4, 16, 3}
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if err := rz.Resize(c, widths[i%len(widths)]); err != nil {
-						resizeErr = err
-						return
-					}
-				}
-			}()
-			body(t, s)
-			close(stop)
-			wg.Wait()
-			if resizeErr != nil {
-				t.Fatalf("settest: Resize failed during the battery: %v", resizeErr)
-			}
-			if w := rz.Width(); w < 1 {
-				t.Fatalf("final Width = %d", w)
+			t.Run(l.underResize, func(t *testing.T) {
+				s := f(l.opts)
+				underResize(t, s, nil, func() { l.run(t, s) })
+			})
+		}
+	}
+	if ef := elided(f); ef != nil {
+		t.Run("Elided", func(t *testing.T) {
+			for _, l := range legs {
+				t.Run(l.name, func(t *testing.T) { l.run(t, ef(l.opts)) })
 			}
 		})
 	}
-	resizing("SharedKeysUnderResize", func(t *testing.T, s core.Set) {
-		runConcurrentShared(t, s)
-	})
-	resizing("ReadersDuringResize", func(t *testing.T, s core.Set) {
-		runReadersDuringUpdates(t, s)
-	})
 }
 
-// RunEBR exercises the set with an EBR domain attached.
-func RunEBR(t *testing.T, f Factory) {
+// A driver runs body, a battery's workload on s, whose reclamation domain
+// (if any) is dom: direct runs it as is, underResize resizes s throughout.
+type driver func(t *testing.T, s core.Set, dom *ebr.Domain, body func())
+
+func direct(_ *testing.T, _ core.Set, _ *ebr.Domain, body func()) { body() }
+
+// resizes reports whether f builds core.Resizable sets.
+func resizes(f Factory) bool {
+	_, ok := f(core.Options{}).(core.Resizable)
+	return ok
+}
+
+// underResize runs body while a dedicated goroutine resizes s — which
+// must be core.Resizable — the whole time, cycling the width up and down
+// so both grow and shrink migrations race the body. With a non-nil dom
+// the resizer retires superseded shard maps through its own epoch
+// record, exactly like the harness's elastic controller.
+func underResize(t *testing.T, s core.Set, dom *ebr.Domain, body func()) {
 	t.Helper()
-	dom := ebr.NewDomain()
-	s := f(core.Options{Domain: dom, ExpectedSize: 256})
-	const workers = 4
-	iters := scale(3000)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c := core.NewCtx(w)
+	rz, ok := s.(core.Resizable)
+	if !ok {
+		t.Fatalf("settest: factory built %T, which is not core.Resizable", s)
+	}
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		defer func() { done <- err }() // after Unregister: the drain follows
+		c := core.NewCtx(999)
+		if dom != nil {
 			c.Epoch = dom.Register()
-			rng := xrand.New(uint64(w) + 99)
-			for i := 0; i < iters; i++ {
-				k := core.Key(rng.Int63n(128))
-				c.EpochEnter()
-				switch rng.Uint64n(3) {
-				case 0:
-					s.Put(c, k, k)
-				case 1:
-					s.Remove(c, k)
-				default:
-					s.Get(c, k)
-				}
-				c.EpochExit()
+			defer c.Epoch.Unregister()
+		}
+		// At least one resize per leg, however short the body.
+		widths := []int{2, 8, 1, 4, 16, 3}
+		for i := 0; ; i++ {
+			if err = rz.Resize(c, widths[i%len(widths)]); err != nil {
+				return
 			}
-		}(w)
+			runtime.Gosched()
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	func() {
+		defer close(stop) // a body that fails the test stops the resizer too
+		body()
+	}()
+	if err := <-done; err != nil {
+		t.Fatalf("settest: Resize failed during the battery: %v", err)
 	}
-	wg.Wait()
-	retired, reclaimed := dom.Stats()
-	if reclaimed > retired {
-		t.Fatalf("EBR reclaimed %d > retired %d", reclaimed, retired)
+	if w := rz.Width(); w < 1 {
+		t.Fatalf("final Width = %d", w)
 	}
+}
+
+// elideAttempts is the speculative budget of the Elided legs.
+const elideAttempts = 5
+
+// elide returns f with lock elision requested.
+func elide(f Factory) Factory {
+	return func(o core.Options) core.Set {
+		o.ElideAttempts = elideAttempts
+		return f(o)
+	}
+}
+
+// elided returns elide(f) when requesting elision changes what f builds —
+// the elided set speculates and f's own does not — and nil otherwise. The
+// probe builds a set and does one Put and one Remove with a fresh stats
+// slot: a set speculates iff it attempted a transaction.
+func elided(f Factory) Factory {
+	ef := elide(f)
+	if speculates(f) || !speculates(ef) {
+		return nil
+	}
+	return ef
+}
+
+func speculates(f Factory) bool {
+	s := f(core.Options{})
+	c := ctx()
+	s.Put(c, 1, 1)
+	s.Remove(c, 1)
+	return c.Stats.TxAttempts > 0
 }
 
 func ctx() *core.Ctx { return core.NewCtx(0) }
@@ -187,6 +219,15 @@ func scale(n int) int {
 	}
 	return n
 }
+
+// wallBudget bounds the updaters of the anchor-visibility bodies: an
+// iteration budget or this wall budget, whichever ends first. On a
+// structure whose updates convoy (a copy-on-write structure's ticket lock
+// with 7 spinning goroutines on 2 CPUs) the fixed count alone took
+// 16-68 s for interleavings 2 s already covers. The updaters read the
+// clock before every update: in such a convoy 64 updates can take a
+// second.
+const wallBudget = 2 * time.Second
 
 func testEmpty(t *testing.T, f Factory) {
 	s := f(core.Options{})
@@ -362,12 +403,8 @@ func testQuickProperty(t *testing.T, f Factory) {
 	}
 }
 
-// testConcurrentShared hammers a small shared key space and checks the
+// runConcurrentShared hammers a small shared key space and checks the
 // insert/remove algebra per key.
-func testConcurrentShared(t *testing.T, f Factory) {
-	runConcurrentShared(t, f(core.Options{ExpectedSize: 64}))
-}
-
 func runConcurrentShared(t *testing.T, s core.Set) {
 	const workers = 8
 	iters := scale(4000)
@@ -421,10 +458,9 @@ func runConcurrentShared(t *testing.T, s core.Set) {
 	}
 }
 
-// testConcurrentDisjoint gives each worker a private key range; at the end
+// runConcurrentDisjoint gives each worker a private key range; at the end
 // each range must exactly match the worker's private model.
-func testConcurrentDisjoint(t *testing.T, f Factory) {
-	s := f(core.Options{ExpectedSize: 1024})
+func runConcurrentDisjoint(t *testing.T, s core.Set) {
 	const workers = 8
 	const rangeSize = 64
 	iters := scale(4000)
@@ -482,12 +518,8 @@ func testConcurrentDisjoint(t *testing.T, f Factory) {
 	}
 }
 
-// testReadersDuringUpdates checks that concurrent readers always see a key
+// runReadersDuringUpdates checks that concurrent readers always see a key
 // that is never removed, while churn happens around it.
-func testReadersDuringUpdates(t *testing.T, f Factory) {
-	runReadersDuringUpdates(t, f(core.Options{ExpectedSize: 128}))
-}
-
 func runReadersDuringUpdates(t *testing.T, s core.Set) {
 	c0 := ctx()
 	const anchor = core.Key(500)
@@ -524,13 +556,9 @@ func runReadersDuringUpdates(t *testing.T, s core.Set) {
 			defer updaters.Done()
 			c := core.NewCtx(w)
 			rng := xrand.New(uint64(w) + 321)
-			// An iteration budget or a wall budget, whichever ends first:
-			// on a structure whose updates convoy (hashtable/cow's ticket
-			// lock with 7 spinning goroutines on 2 CPUs) the fixed count
-			// alone took 16-68 s for interleavings 2 s already covers.
-			deadline := time.Now().Add(2 * time.Second)
+			deadline := time.Now().Add(wallBudget)
 			for i := 0; i < scale(5000); i++ {
-				if i%64 == 0 && time.Now().After(deadline) {
+				if time.Now().After(deadline) {
 					break
 				}
 				// Churn keys around (but never equal to) the anchor.

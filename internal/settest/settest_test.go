@@ -12,9 +12,13 @@ import (
 
 	"csds/internal/core"
 
-	// Populate the registries for the RunSpec test.
+	// Populate the registries: the composite-spec tests and the
+	// registry-wide capability test.
+	_ "csds/internal/bst"
 	_ "csds/internal/combinator"
+	_ "csds/internal/hashtable"
 	_ "csds/internal/list"
+	_ "csds/internal/skiplist"
 )
 
 // refSet is the obviously linearizable reference: one mutex, one map.
@@ -108,8 +112,8 @@ func (r *refSet) MultiRemove(c *core.Ctx, keys []core.Key, f func(i int, removed
 }
 
 // refResizable adds a no-op repartition (the map is its own single
-// shard); it verifies the RunResizable harness machinery itself — width
-// cycling, final checks — against an implementation that cannot fail.
+// shard); it verifies the resize driver itself — width cycling, final
+// checks — against an implementation that cannot fail.
 type refResizable struct {
 	*refSet
 	width atomic.Int64
@@ -131,44 +135,55 @@ func (r *refResizable) Resize(c *core.Ctx, n int) error {
 
 func (r *refResizable) Width() int { return int(r.width.Load()) }
 
+// spec resolves an algorithm specification through the layered core
+// factory.
+func spec(t *testing.T, s string) Factory {
+	t.Helper()
+	f, err := core.NewFactory(s)
+	if err != nil {
+		t.Fatalf("resolving %s: %v", s, err)
+	}
+	return f
+}
+
 // TestBatteryOnReferenceSet: the full battery accepts a correct set.
 func TestBatteryOnReferenceSet(t *testing.T) {
 	Run(t, newRefSet)
 }
 
-// TestEBROnReferenceSet: the EBR battery tolerates structures that never
-// retire (retired stays 0, reclaimed never exceeds it).
+// TestEBROnReferenceSet: the EBR (poison) battery tolerates structures
+// that never retire: retired and reclaimed both stay 0.
 func TestEBROnReferenceSet(t *testing.T) {
-	RunEBR(t, newRefSet)
+	RunPoison(t, newRefSet)
 }
 
-// TestRunResizableOnReference: the resize battery drives widths and
-// passes on a correct Resizable.
+// TestRunResizableOnReference: on a core.Resizable set the battery adds
+// its resize legs, which drive widths and pass on a correct Resizable.
 func TestRunResizableOnReference(t *testing.T) {
-	RunResizable(t, newRefResizable)
+	Run(t, newRefResizable)
 }
 
-// TestRunSpecComposite: RunSpec resolves composite specifications through
-// the layered core factory and runs them.
+// TestRunSpecComposite: composite specifications resolved through the
+// layered core factory run the battery.
 func TestRunSpecComposite(t *testing.T) {
-	RunSpec(t, "sharded(2,list/lazy)")
+	Run(t, spec(t, "sharded(2,list/lazy)"))
 }
 
 // TestScannerBatteryOnReferenceSet: the scan battery accepts a correct
 // scanner.
 func TestScannerBatteryOnReferenceSet(t *testing.T) {
-	RunScanner(t, newRefSet, true)
+	RunScanner(t, newRefSet)
 }
 
-// TestScannerBatteryUnderResizeOnReference: the scan-under-resize harness
+// TestScannerBatteryUnderResizeOnReference: the scan-under-resize leg
 // itself passes against a Resizable whose scans cannot fail.
 func TestScannerBatteryUnderResizeOnReference(t *testing.T) {
-	RunScannerResizable(t, newRefResizable, true)
+	RunScanner(t, newRefResizable)
 }
 
-// TestRunScannerSpecComposite: spec resolution reaches the scan battery.
+// TestRunScannerSpecComposite: a composite spec reaches the scan battery.
 func TestRunScannerSpecComposite(t *testing.T) {
-	RunScannerSpec(t, "sharded(2,list/lazy)", true)
+	RunScanner(t, spec(t, "sharded(2,list/lazy)"))
 }
 
 // TestCursorBatteryOnReferenceSet: the cursor battery accepts a correct
@@ -177,15 +192,15 @@ func TestCursorBatteryOnReferenceSet(t *testing.T) {
 	RunCursor(t, newRefSet)
 }
 
-// TestCursorBatteryUnderResizeOnReference: the cursor-under-resize
-// harness itself passes against a Resizable whose pages cannot fail.
+// TestCursorBatteryUnderResizeOnReference: the cursor-under-resize leg
+// itself passes against a Resizable whose pages cannot fail.
 func TestCursorBatteryUnderResizeOnReference(t *testing.T) {
-	RunCursorResizable(t, newRefResizable)
+	RunCursor(t, newRefResizable)
 }
 
-// TestRunCursorSpecComposite: spec resolution reaches the cursor battery.
+// TestRunCursorSpecComposite: a composite spec reaches the cursor battery.
 func TestRunCursorSpecComposite(t *testing.T) {
-	RunCursorSpec(t, "sharded(2,list/lazy)")
+	RunCursor(t, spec(t, "sharded(2,list/lazy)"))
 }
 
 // TestBatcherBatteryOnReferenceSet: the batched battery accepts a
@@ -194,15 +209,76 @@ func TestBatcherBatteryOnReferenceSet(t *testing.T) {
 	RunBatcher(t, newRefSet)
 }
 
-// TestBatcherBatteryUnderResizeOnReference: the batch-under-resize
-// harness itself passes against a Resizable whose batches cannot fail.
+// TestBatcherBatteryUnderResizeOnReference: the batch-under-resize legs
+// themselves pass against a Resizable whose batches cannot fail.
 func TestBatcherBatteryUnderResizeOnReference(t *testing.T) {
-	RunBatcherResizable(t, newRefResizable)
+	RunBatcher(t, newRefResizable)
 }
 
-// TestRunBatcherSpecComposite: spec resolution reaches the batch battery.
+// TestRunBatcherSpecComposite: a composite spec reaches the batch battery.
 func TestRunBatcherSpecComposite(t *testing.T) {
-	RunBatcherSpec(t, "sharded(2,list/lazy)")
+	RunBatcher(t, spec(t, "sharded(2,list/lazy)"))
+}
+
+// TestRegistryCapabilities guards the batteries' capability probes
+// against silent skips. Every registered algorithm must implement every
+// extension the batteries and the module rely on, so losing one fails
+// here instead of quietly dropping a battery. The set that speculates
+// under elision — and so gets Elided legs — is pinned too.
+func TestRegistryCapabilities(t *testing.T) {
+	speculating := map[string]bool{}
+	for _, name := range core.Names() {
+		info, _ := core.Lookup(name)
+		s := info.New(core.Options{})
+		for _, c := range []struct {
+			iface string
+			ok    bool
+		}{
+			{"core.Scanner", is[core.Scanner](s)},
+			{"core.Cursor", is[core.Cursor](s)},
+			{"core.Batcher", is[core.Batcher](s)},
+			{"core.Ranger", is[core.Ranger](s)},
+		} {
+			if !c.ok {
+				t.Errorf("%s (%T) does not implement %s", name, s, c.iface)
+			}
+		}
+		if elided(info.New) != nil {
+			speculating[name] = true
+		}
+	}
+	want := []string{"bst/tk", "hashtable/lazy", "list/lazy", "skiplist/herlihy"}
+	if len(speculating) != len(want) {
+		t.Errorf("speculating algorithms = %v, want %v", speculating, want)
+	}
+	for _, name := range want {
+		if !speculating[name] {
+			t.Errorf("%s does not speculate under Options.ElideAttempts", name)
+		}
+	}
+}
+
+func is[I any](s core.Set) bool {
+	_, ok := s.(I)
+	return ok
+}
+
+// TestElidedProbe: an elided leg is added only when requesting elision
+// changes what the factory builds.
+func TestElidedProbe(t *testing.T) {
+	lazy := spec(t, "list/lazy")
+	if elided(lazy) == nil {
+		t.Error("list/lazy: no elided leg")
+	}
+	if elided(elide(lazy)) != nil {
+		t.Error("an already elided factory got a second elided leg")
+	}
+	if elided(newRefSet) != nil {
+		t.Error("the reference set, which never speculates, got an elided leg")
+	}
+	if elided(spec(t, "sharded(2,list/lazy)")) == nil {
+		t.Error("sharded(2,list/lazy): no elided leg for a composite over a speculating leaf")
+	}
 }
 
 // TestScale pins the iteration scaling contract: /4 under -short, /2

@@ -10,9 +10,7 @@ import (
 // The chaos battery (settest.RunChaos): seeded fault injection under the
 // full invariant set — see internal/settest/chaostest.go.
 
-func TestHerlihyChaos(t *testing.T) {
-	settest.RunChaos(t, func(o core.Options) core.Set { return NewHerlihy(o) })
-}
+func TestHerlihyChaos(t *testing.T) { settest.RunChaos(t, skiplists["herlihy"]) }
 
 // TestHerlihyChaosElided: the battery with lock elision on, so htm.abort
 // drives the abort → retry → fallback path (see list.TestLazyChaosElided).
@@ -23,10 +21,5 @@ func TestHerlihyChaosElided(t *testing.T) {
 	})
 }
 
-func TestPughChaos(t *testing.T) {
-	settest.RunChaos(t, func(o core.Options) core.Set { return NewPugh(o) })
-}
-
-func TestLockFreeChaos(t *testing.T) {
-	settest.RunChaos(t, func(o core.Options) core.Set { return NewLockFree(o) })
-}
+func TestPughChaos(t *testing.T)     { settest.RunChaos(t, skiplists["pugh"]) }
+func TestLockFreeChaos(t *testing.T) { settest.RunChaos(t, skiplists["lockfree"]) }

@@ -219,8 +219,13 @@ func (s *Herlihy) put(c *core.Ctx, k core.Key, v core.Value, hint *descent) bool
 				c.RecordRestarts(restarts)
 				return false
 			}
-			// Marked: a removal is in progress; retry until it unlinks.
+			// Marked: a removal is in progress; retry once it unlinks.
+			// Yield first, as every spin in this repository does: the
+			// remover may be descheduled between its mark and its
+			// unlink, and a put that re-searches without yielding can
+			// hold the very CPU it needs (the locks package rule).
 			restarts++
+			runtime.Gosched()
 			continue
 		}
 		var ls lockSet
@@ -271,6 +276,7 @@ func (s *Herlihy) putElided(c *core.Ctx, k core.Key, v core.Value) bool {
 				return false
 			}
 			restarts++
+			runtime.Gosched() // marked: yield to the remover, as put does
 			continue
 		}
 		n := newHNodePooled(c, k, v, topLevel+1)

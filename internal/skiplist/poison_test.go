@@ -3,7 +3,6 @@ package skiplist
 import (
 	"testing"
 
-	"csds/internal/core"
 	"csds/internal/settest"
 )
 
@@ -11,17 +10,10 @@ import (
 // poisoning and recycling every retired tower, concurrent readers
 // asserting no traversal ever observes a poisoned or recycled mapping.
 
-func TestHerlihyPoison(t *testing.T) {
-	settest.RunPoison(t, func(o core.Options) core.Set { return NewHerlihy(o) })
-}
+func TestHerlihyPoison(t *testing.T) { settest.RunPoison(t, skiplists["herlihy"]) }
+func TestPughPoison(t *testing.T)    { settest.RunPoison(t, skiplists["pugh"]) }
 
-func TestPughPoison(t *testing.T) {
-	settest.RunPoison(t, func(o core.Options) core.Set { return NewPugh(o) })
-}
-
-func TestLockFreePoison(t *testing.T) {
-	// The lock-free skip list retires with a nil callback (no pool; see
-	// pool.go) — the battery still verifies its brackets and that the
-	// domain drains fully.
-	settest.RunPoison(t, func(o core.Options) core.Set { return NewLockFree(o) })
-}
+// The lock-free skip list retires with a nil callback (no pool; see
+// pool.go) — the battery still verifies its brackets and that the domain
+// drains fully.
+func TestLockFreePoison(t *testing.T) { settest.RunPoison(t, skiplists["lockfree"]) }

@@ -1,6 +1,7 @@
 package skiplist
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -9,42 +10,37 @@ import (
 	"csds/internal/xrand"
 )
 
-func TestHerlihy(t *testing.T) {
-	settest.Run(t, func(o core.Options) core.Set { return NewHerlihy(o) })
+// skiplists is the package's conformance roster, by registry short name.
+var skiplists = map[string]settest.Factory{
+	"herlihy":  func(o core.Options) core.Set { return NewHerlihy(o) },
+	"pugh":     func(o core.Options) core.Set { return NewPugh(o) },
+	"lockfree": func(o core.Options) core.Set { return NewLockFree(o) },
 }
 
-func TestHerlihyElided(t *testing.T) {
-	settest.RunElided(t, func(o core.Options) core.Set { return NewHerlihy(o) })
-}
-
-func TestHerlihyEBR(t *testing.T) {
-	settest.RunEBR(t, func(o core.Options) core.Set { return NewHerlihy(o) })
-}
-
-func TestPugh(t *testing.T) {
-	settest.Run(t, func(o core.Options) core.Set { return NewPugh(o) })
-}
+func TestHerlihy(t *testing.T)       { settest.Run(t, skiplists["herlihy"]) }
+func TestHerlihyElided(t *testing.T) { settest.RunElided(t, skiplists["herlihy"]) }
+func TestPugh(t *testing.T)          { settest.Run(t, skiplists["pugh"]) }
+func TestLockFree(t *testing.T)      { settest.Run(t, skiplists["lockfree"]) }
 
 // TestScanners runs the linearizable range-scan battery on every skip
-// list; all are ordered structures.
+// list.
 func TestScanners(t *testing.T) {
-	for name, mk := range map[string]func(core.Options) core.Set{
-		"herlihy":  func(o core.Options) core.Set { return NewHerlihy(o) },
-		"pugh":     func(o core.Options) core.Set { return NewPugh(o) },
-		"lockfree": func(o core.Options) core.Set { return NewLockFree(o) },
-	} {
-		t.Run(name, func(t *testing.T) { settest.RunScanner(t, mk, true) })
+	for name, f := range skiplists {
+		t.Run(name, func(t *testing.T) { settest.RunScanner(t, f) })
 	}
 }
 
 // TestCursors runs the paginated-iteration battery on every skip list.
 func TestCursors(t *testing.T) {
-	for name, mk := range map[string]func(core.Options) core.Set{
-		"herlihy":  func(o core.Options) core.Set { return NewHerlihy(o) },
-		"pugh":     func(o core.Options) core.Set { return NewPugh(o) },
-		"lockfree": func(o core.Options) core.Set { return NewLockFree(o) },
-	} {
-		t.Run(name, func(t *testing.T) { settest.RunCursor(t, mk) })
+	for name, f := range skiplists {
+		t.Run(name, func(t *testing.T) { settest.RunCursor(t, f) })
+	}
+}
+
+// TestCursorPageCost pins O(page) cursor pages on every skip list.
+func TestCursorPageCost(t *testing.T) {
+	for name, f := range skiplists {
+		t.Run(name, func(t *testing.T) { settest.RunCursorPageCost(t, f) })
 	}
 }
 
@@ -52,12 +48,8 @@ func TestCursors(t *testing.T) {
 // (sorted point application — a resumed level-0 walk would forfeit the
 // logarithmic descents, see batch.go).
 func TestBatchers(t *testing.T) {
-	for name, mk := range map[string]func(core.Options) core.Set{
-		"herlihy":  func(o core.Options) core.Set { return NewHerlihy(o) },
-		"pugh":     func(o core.Options) core.Set { return NewPugh(o) },
-		"lockfree": func(o core.Options) core.Set { return NewLockFree(o) },
-	} {
-		t.Run(name, func(t *testing.T) { settest.RunBatcher(t, mk) })
+	for name, f := range skiplists {
+		t.Run(name, func(t *testing.T) { settest.RunBatcher(t, f) })
 	}
 }
 
@@ -188,6 +180,46 @@ func TestPughTowersEventuallyClean(t *testing.T) {
 	}
 }
 
+// TestHerlihyPutYieldsToRemover pins the yield on put's marked-node
+// branch. On one P, a remover is parked between its mark and its unlink
+// (it waits for the level-0 predecessor's lock, which the test holds),
+// the lock is freed, and a put of the same key runs on the test
+// goroutine. The put finds the node marked; yielding lets the remover
+// finish, so the put inserts after one restart. A put that re-searches
+// without yielding holds the only P until preemption, restarting
+// thousands of times.
+func TestHerlihyPutYieldsToRemover(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := NewHerlihy(core.Options{ExpectedSize: 64})
+	c := core.NewCtx(0)
+	for k := core.Key(0); k <= 100; k += 10 {
+		s.Put(c, k, k)
+	}
+	var d descent
+	s.find(50, &d)
+	victim, pred := d.succs[d.found], d.preds[0]
+	pred.lock.Acquire(nil)
+	done := make(chan bool)
+	go func() { done <- s.Remove(core.NewCtx(1), 50) }()
+	for !victim.marked.Load() {
+		runtime.Gosched()
+	}
+	pred.lock.Release()
+	before := c.Stats.Restarts
+	if !s.Put(c, 50, 500) {
+		t.Fatal("Put of a key being removed returned false")
+	}
+	if !<-done {
+		t.Fatal("the parked Remove returned false")
+	}
+	if r := c.Stats.Restarts - before; r < 1 || r > 2 {
+		t.Fatalf("Put restarted %d times on a marked node, want 1 or 2: it did not yield to the remover", r)
+	}
+	if v, ok := s.Get(c, 50); !ok || v != 500 {
+		t.Fatalf("Get(50) = (%d, %v), want (500, true)", v, ok)
+	}
+}
+
 func TestHerlihyMaxLevelOption(t *testing.T) {
 	s := NewHerlihy(core.Options{MaxLevel: 6})
 	if s.maxLevel != 6 {
@@ -205,14 +237,6 @@ func TestHerlihyMaxLevelOption(t *testing.T) {
 			t.Fatalf("Get(%d) = (%d, %v)", i, v, ok)
 		}
 	}
-}
-
-func TestLockFree(t *testing.T) {
-	settest.Run(t, func(o core.Options) core.Set { return NewLockFree(o) })
-}
-
-func TestLockFreeEBR(t *testing.T) {
-	settest.RunEBR(t, func(o core.Options) core.Set { return NewLockFree(o) })
 }
 
 func TestLockFreeLevel0Sorted(t *testing.T) {
