@@ -13,6 +13,10 @@ import (
 
 func TestTKPoison(t *testing.T) { settest.RunPoison(t, trees["tk"]) }
 
+// TestTKEBR: removes retire through the caller's epoch record, and
+// nothing reclaims under its outer bracket (settest.RunRetire).
+func TestTKEBR(t *testing.T) { settest.RunRetire(t, trees["tk"]) }
+
 // The internal BST deletes logically and never retires — the battery
 // degenerates to a read-consistency check plus a trivially empty drain,
 // which is exactly the documented contract.

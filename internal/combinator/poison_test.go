@@ -23,6 +23,14 @@ func TestCombinatorsPoison(t *testing.T) {
 	)
 }
 
+// TestCompositeEBR checks epoch-based reclamation threads through the
+// wrappers (settest.RunRetire): the caller's epoch record reaches every
+// inner instance, and the inner structures' brackets nest inside the
+// caller's.
+func TestCompositeEBR(t *testing.T) {
+	runSpecs(t, settest.RunRetire, "sharded(4,list/lazy)", "readcache(64,list/lazy)")
+}
+
 // TestElasticPoison runs the battery under continuous resize: every
 // published width change eagerly retires a whole shard map whose nodes
 // are swept into the pools by ReclaimAll — while stragglers may still

@@ -20,3 +20,7 @@ func TestBucketedLockCouplingPoison(t *testing.T) { settest.RunPoison(t, tables[
 func TestBucketedPughPoison(t *testing.T)         { settest.RunPoison(t, tables["pugh"]) }
 func TestBucketedHarrisPoison(t *testing.T)       { settest.RunPoison(t, tables["harris"]) }
 func TestBucketedWaitFreePoison(t *testing.T)     { settest.RunPoison(t, tables["waitfree"]) }
+
+// TestLazyEBR: removes retire through the caller's epoch record, and
+// nothing reclaims under its outer bracket (settest.RunRetire).
+func TestLazyEBR(t *testing.T) { settest.RunRetire(t, tables["lazy"]) }

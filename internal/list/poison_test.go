@@ -21,3 +21,9 @@ func TestHarrisPoison(t *testing.T)       { settest.RunPoison(t, lists["harris"]
 // — the battery still verifies its brackets and that the domain drains
 // fully.
 func TestWaitFreePoison(t *testing.T) { settest.RunPoison(t, lists["waitfree"]) }
+
+// The retirement check (settest.RunRetire): removes retire through the
+// caller's epoch record, and nothing reclaims under its outer bracket.
+
+func TestLazyEBR(t *testing.T)   { settest.RunRetire(t, lists["lazy"]) }
+func TestHarrisEBR(t *testing.T) { settest.RunRetire(t, lists["harris"]) }

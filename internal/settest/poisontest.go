@@ -70,6 +70,63 @@ func runPoison(t *testing.T, f Factory, drive driver) {
 	}
 }
 
+// retireSpan is RunRetire's key range: wide enough that a composite
+// routes keys to every inner instance (sharded hashes 64-key blocks).
+const retireSpan = 1024
+
+// RunRetire checks the two EBR properties the poison battery cannot see.
+// First, the caller's epoch record reaches the whole set, and for a
+// composite every inner instance: each remove of a present key retires at
+// least one node through it. Poison passes vacuously on a set that
+// retires nothing.
+// Second, the set's brackets nest inside a caller's: while the caller
+// holds an outer bracket, nothing retired inside it is reclaimed, however
+// often the epoch is pushed. Once the bracket closes, a quiesced drain
+// reclaims every retired node.
+func RunRetire(t *testing.T, f Factory) {
+	t.Helper()
+	dom := ebr.NewDomain()
+	s := f(core.Options{Domain: dom, ExpectedSize: retireSpan})
+	c := core.NewCtx(0)
+	c.Epoch = dom.Register()
+	for k := core.Key(0); k < retireSpan; k++ {
+		s.Put(c, k, core.Value(k))
+	}
+	// Age out whatever the fill retired: every reclaim from here on
+	// belongs to the removes.
+	push := func() {
+		dom.Advance()
+		dom.Advance()
+		dom.Advance()
+		c.Epoch.Collect()
+	}
+	push()
+	retired0, reclaimed0 := dom.Stats()
+
+	c.EpochEnter()
+	for k := core.Key(0); k < retireSpan; k++ {
+		if !s.Remove(c, k) {
+			t.Fatalf("Remove(%d) of a present key reported absent", k)
+		}
+	}
+	push()
+	retired, reclaimed := dom.Stats()
+	c.EpochExit()
+	if reclaimed != reclaimed0 {
+		t.Fatalf("%d nodes reclaimed while the caller's outer bracket was open: the structure's Exit ended the caller's grace period", reclaimed-reclaimed0)
+	}
+	if retired-retired0 < retireSpan {
+		t.Fatalf("%d removes retired only %d nodes: the caller's epoch record does not reach the whole set", retireSpan, retired-retired0)
+	}
+
+	c.Epoch.Unregister()
+	push()
+	retired, reclaimed = dom.Stats()
+	if reclaimed != retired {
+		t.Errorf("quiesced drain left %d of %d retired nodes unreclaimed", retired-reclaimed, retired)
+	}
+}
+
 // poison runs the churners and readers to completion.
 func poison(t *testing.T, s core.Set, dom *ebr.Domain) {
 	scanner, _ := s.(core.Scanner)

@@ -12,7 +12,9 @@
 //     of the structure must match its private model exactly);
 //   - RunScanner, RunCursor, RunCursorPageCost and RunBatcher for the
 //     core.Scanner, core.Cursor and core.Batcher extensions;
-//   - RunPoison (EBR reclamation) and RunChaos (seeded fault injection).
+//   - RunPoison (EBR reclamation), RunRetire (retirement reaches the
+//     whole set and nests inside a caller's bracket) and RunChaos
+//     (seeded fault injection).
 //
 // Each battery probes the set its factory builds and adds the legs the
 // set's capabilities admit, so no caller has to remember them:

@@ -17,3 +17,9 @@ func TestPughPoison(t *testing.T)    { settest.RunPoison(t, skiplists["pugh"]) }
 // pool.go) — the battery still verifies its brackets and that the domain
 // drains fully.
 func TestLockFreePoison(t *testing.T) { settest.RunPoison(t, skiplists["lockfree"]) }
+
+// The retirement check (settest.RunRetire): removes retire through the
+// caller's epoch record, and nothing reclaims under its outer bracket.
+
+func TestHerlihyEBR(t *testing.T)  { settest.RunRetire(t, skiplists["herlihy"]) }
+func TestLockFreeEBR(t *testing.T) { settest.RunRetire(t, skiplists["lockfree"]) }
