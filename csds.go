@@ -256,10 +256,11 @@ func NewReadCached(capacity int, inner string, o Options) (Set, error) {
 
 // NewElastic hash-partitions the key space over width instances of the
 // inner specification, with NewSharded's block-hashed routing (its
-// scans and pages still merge all shards) — but the returned set also
-// implements Resizable: its width can be grown or shrunk online
-// (s.(csds.Resizable).Resize(c, n)) while readers and writers keep
-// running, so a deployment can track load instead of overprovisioning.
+// scans always collect every shard, and its pages merge them) — but the
+// returned set also implements Resizable: its width can be grown or
+// shrunk online (s.(csds.Resizable).Resize(c, n)) while readers and
+// writers keep running, so a deployment can track load instead of
+// overprovisioning.
 func NewElastic(width int, inner string, o Options) (Set, error) {
 	return core.Build(fmt.Sprintf("elastic(%d,%s)", width, inner), o)
 }

@@ -1,12 +1,12 @@
 // Batched (core.Batcher) paths for the combinators. The composite
 // batching contract is destination grouping: a batch is bucket-sorted
-// by shard/stripe once, and each destination boundary is crossed once
-// per batch — one routing pass, one shard-map/epoch load, one lock
-// epoch per shard — instead of once per key. Results are buffered and
-// replayed in caller order. The exception is a sharded composite over a
-// core.PartBatcher leaf: there every key is routed to its shard and the
-// whole batch goes down in one call, which the leaf serves across all
-// shards at once and answers in caller order itself.
+// by part once (through the partition's router), and each destination
+// boundary is crossed once per batch — one routing pass, one
+// shard-map/epoch load, one lock epoch per part — instead of once per
+// key. Results are buffered and replayed in caller order. The exception
+// is a Partition over a core.PartBatcher leaf: there every key is routed
+// to its part and the whole batch goes down in one call, which the leaf
+// serves across all parts at once and answers in caller order itself.
 package combinator
 
 import (
@@ -163,14 +163,14 @@ func replayBools(res []bool, f func(i int, ok bool)) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded
+// Partition
 // ---------------------------------------------------------------------------
 
-// shardedBatch is a batch routed over a Sharded's shards. When the
-// shards implement core.PartBatcher, pb is set and parts[i] is element
-// i's shard; otherwise idx and off group the batch by shard
-// (groupBatch). one is the shard that received every element, or -1.
-type shardedBatch struct {
+// routedBatch is a batch routed over a Partition's parts. When the parts
+// implement core.PartBatcher, pb is set and parts[i] is element i's
+// part; otherwise idx and off group the batch by part (groupBatch). one
+// is the part that received every element, or -1.
+type routedBatch struct {
 	pb       core.PartBatcher
 	parts    []core.Set
 	idx, off []int
@@ -178,95 +178,94 @@ type shardedBatch struct {
 }
 
 // routeBatch routes an n-element batch, element i keyed by key(i).
-func (s *Sharded) routeBatch(sc *core.BatchScratch, n int, key func(i int) core.Key) shardedBatch {
-	w := len(s.shards)
-	if pb, ok := s.shards[0].(core.PartBatcher); ok {
-		b := shardedBatch{pb: pb, parts: sc.Sets(n), one: route(key(0), w)}
+func (p *Partition) routeBatch(sc *core.BatchScratch, n int, key func(i int) core.Key) routedBatch {
+	if pb, ok := p.parts[0].(core.PartBatcher); ok {
+		b := routedBatch{pb: pb, parts: sc.Sets(n), one: p.r.index(key(0))}
 		for i := range b.parts {
-			p := route(key(i), w)
-			if p != b.one {
+			j := p.r.index(key(i))
+			if j != b.one {
 				b.one = -1
 			}
-			b.parts[i] = s.shards[p]
+			b.parts[i] = p.parts[j]
 		}
 		return b
 	}
-	b := shardedBatch{one: -1}
-	b.idx, b.off = groupBatch(sc, n, w, func(i int) int { return route(key(i), w) })
-	if p, ok := singlePart(b.off); ok {
-		b.one = p
+	b := routedBatch{one: -1}
+	b.idx, b.off = groupBatch(sc, n, len(p.parts), func(i int) int { return p.r.index(key(i)) })
+	if j, ok := singlePart(b.off); ok {
+		b.one = j
 	}
 	return b
 }
 
-// MultiGet implements core.Batcher. Over PartBatcher shards the routed
+// MultiGet implements core.Batcher. Over PartBatcher parts the routed
 // batch is one MultiGetIn call, delivered straight to f. Over other
-// shards a batch whose keys all live in one shard is that shard's
-// MultiGet, and any other is grouped, one inner MultiGet per shard
+// parts a batch whose keys all live in one part is that part's
+// MultiGet, and any other is grouped, one inner MultiGet per part
 // touched, and replayed in caller order.
-func (s *Sharded) MultiGet(c *core.Ctx, keys []core.Key, f func(i int, v core.Value, ok bool)) {
+func (p *Partition) MultiGet(c *core.Ctx, keys []core.Key, f func(i int, v core.Value, ok bool)) {
 	n := len(keys)
 	if n == 0 {
 		return
 	}
 	sc := core.GetBatchScratch()
 	defer sc.Release()
-	b := s.routeBatch(sc, n, func(i int) core.Key { return keys[i] })
+	b := p.routeBatch(sc, n, func(i int) core.Key { return keys[i] })
 	switch {
 	case b.pb != nil:
 		b.pb.MultiGetIn(c, b.parts, keys, f)
 	case b.one >= 0:
-		core.AsBatcher(s.shards[b.one]).MultiGet(c, keys, f)
+		core.AsBatcher(p.parts[b.one]).MultiGet(c, keys, f)
 	default:
 		sk := getSink(sc, n)
 		defer sk.release()
-		perPartGet(c, sc, sk, s.shards, b.idx, b.off, keys)
+		perPartGet(c, sc, sk, p.parts, b.idx, b.off, keys)
 		replayGets(sk.vals, sk.oks, f)
 	}
 }
 
 // MultiPut implements core.Batcher. A write batch whose keys all land in
-// ONE shard is the contended hot-spot case and goes through the shard's
+// ONE part is the contended hot-spot case and goes through the part's
 // flat-combining point, so colliding batches from many threads are
 // applied by one winner in one inner bracket (see core.Combiner). A
-// batch that spans shards is routed like MultiGet: one MultiPutIn call
-// over PartBatcher shards, per-shard sub-batches otherwise.
-func (s *Sharded) MultiPut(c *core.Ctx, pairs []core.KV, f func(i int, inserted bool)) {
+// batch that spans parts is routed like MultiGet: one MultiPutIn call
+// over PartBatcher parts, per-part sub-batches otherwise.
+func (p *Partition) MultiPut(c *core.Ctx, pairs []core.KV, f func(i int, inserted bool)) {
 	n := len(pairs)
 	if n == 0 {
 		return
 	}
 	sc := core.GetBatchScratch()
 	defer sc.Release()
-	b := s.routeBatch(sc, n, func(i int) core.Key { return pairs[i].K })
+	b := p.routeBatch(sc, n, func(i int) core.Key { return pairs[i].K })
 	switch {
 	case b.one >= 0:
 		// res may travel through the publication list, but the combiner
 		// hands it back exclusively once done is set, so Run's return
 		// makes the scratch-carved slice safe to recycle.
 		res := sc.Bools(n)
-		s.combiners[b.one].Run(c, core.BatchPut, pairs, res, s.applyCombined(b.one))
+		p.combiners[b.one].Run(c, core.BatchPut, pairs, res, p.applyCombined(b.one))
 		replayBools(res, f)
 	case b.pb != nil:
 		b.pb.MultiPutIn(c, b.parts, pairs, f)
 	default:
 		sk := getSink(sc, n)
 		defer sk.release()
-		perPartPut(c, sc, sk, s.shards, b.idx, b.off, pairs)
+		perPartPut(c, sc, sk, p.parts, b.idx, b.off, pairs)
 		replayBools(sk.oks, f)
 	}
 }
 
 // MultiRemove implements core.Batcher with MultiPut's routing and
-// single-shard flat-combining path.
-func (s *Sharded) MultiRemove(c *core.Ctx, keys []core.Key, f func(i int, removed bool)) {
+// single-part flat-combining path.
+func (p *Partition) MultiRemove(c *core.Ctx, keys []core.Key, f func(i int, removed bool)) {
 	n := len(keys)
 	if n == 0 {
 		return
 	}
 	sc := core.GetBatchScratch()
 	defer sc.Release()
-	b := s.routeBatch(sc, n, func(i int) core.Key { return keys[i] })
+	b := p.routeBatch(sc, n, func(i int) core.Key { return keys[i] })
 	switch {
 	case b.one >= 0:
 		kv := sc.KVs(n)
@@ -274,90 +273,39 @@ func (s *Sharded) MultiRemove(c *core.Ctx, keys []core.Key, f func(i int, remove
 			kv[i] = core.KV{K: k}
 		}
 		res := sc.Bools(n)
-		s.combiners[b.one].Run(c, core.BatchRemove, kv, res, s.applyCombined(b.one))
+		p.combiners[b.one].Run(c, core.BatchRemove, kv, res, p.applyCombined(b.one))
 		replayBools(res, f)
 	case b.pb != nil:
 		b.pb.MultiRemoveIn(c, b.parts, keys, f)
 	default:
 		sk := getSink(sc, n)
 		defer sk.release()
-		perPartRemove(c, sc, sk, s.shards, b.idx, b.off, keys)
+		perPartRemove(c, sc, sk, p.parts, b.idx, b.off, keys)
 		replayBools(sk.oks, f)
 	}
 }
 
-// applyCombined adapts shard p's inner Batcher to the combiner's apply
+// applyCombined adapts part j's inner Batcher to the combiner's apply
 // signature (possibly receiving the concatenation of several colliding
 // threads' batches).
-func (s *Sharded) applyCombined(p int) core.CombineApply {
+func (p *Partition) applyCombined(j int) core.CombineApply {
 	return func(c *core.Ctx, op core.BatchOp, pairs []core.KV, res []bool) {
 		sc := core.GetBatchScratch()
 		defer sc.Release()
 		sk := sinkPool.Get().(*sink)
 		defer sk.release()
 		sk.oks = res
-		b := core.AsBatcher(s.shards[p])
+		b := core.AsBatcher(p.parts[j])
 		if op == core.BatchPut {
 			b.MultiPut(c, pairs, sk.put)
 			return
 		}
 		keys := sc.Keys(len(pairs))
-		for j, kv := range pairs {
-			keys[j] = kv.K
+		for i, kv := range pairs {
+			keys[i] = kv.K
 		}
 		b.MultiRemove(c, keys, sk.put)
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Striped
-// ---------------------------------------------------------------------------
-
-// MultiGet implements core.Batcher: grouped by stripeIndex, one stripe
-// crossing per stripe per batch (the order-preserving partition means
-// a sorted batch touches each stripe in one contiguous run).
-func (s *Striped) MultiGet(c *core.Ctx, keys []core.Key, f func(i int, v core.Value, ok bool)) {
-	n := len(keys)
-	if n == 0 {
-		return
-	}
-	sc := core.GetBatchScratch()
-	defer sc.Release()
-	idx, off := groupBatch(sc, n, len(s.stripes), func(i int) int { return s.stripeIndex(keys[i]) })
-	sk := getSink(sc, n)
-	defer sk.release()
-	perPartGet(c, sc, sk, s.stripes, idx, off, keys)
-	replayGets(sk.vals, sk.oks, f)
-}
-
-// MultiPut implements core.Batcher, grouped by stripe.
-func (s *Striped) MultiPut(c *core.Ctx, pairs []core.KV, f func(i int, inserted bool)) {
-	n := len(pairs)
-	if n == 0 {
-		return
-	}
-	sc := core.GetBatchScratch()
-	defer sc.Release()
-	idx, off := groupBatch(sc, n, len(s.stripes), func(i int) int { return s.stripeIndex(pairs[i].K) })
-	sk := getSink(sc, n)
-	defer sk.release()
-	perPartPut(c, sc, sk, s.stripes, idx, off, pairs)
-	replayBools(sk.oks, f)
-}
-
-// MultiRemove implements core.Batcher, grouped by stripe.
-func (s *Striped) MultiRemove(c *core.Ctx, keys []core.Key, f func(i int, removed bool)) {
-	n := len(keys)
-	if n == 0 {
-		return
-	}
-	sc := core.GetBatchScratch()
-	defer sc.Release()
-	idx, off := groupBatch(sc, n, len(s.stripes), func(i int) int { return s.stripeIndex(keys[i]) })
-	sk := getSink(sc, n)
-	defer sk.release()
-	perPartRemove(c, sc, sk, s.stripes, idx, off, keys)
-	replayBools(sk.oks, f)
 }
 
 // ---------------------------------------------------------------------------
@@ -372,9 +320,7 @@ func (e *Elastic) multiGetOn(c *core.Ctx, p *epartition, keys []core.Key, vals [
 	sc := core.GetBatchScratch()
 	defer sc.Release()
 	parts := len(p.shards)
-	idx, off := groupBatch(sc, len(keys), parts, func(i int) int {
-		return route(keys[i], parts)
-	})
+	idx, off := groupBatch(sc, len(keys), parts, func(i int) int { return p.r.index(keys[i]) })
 	sub := sc.Keys(len(keys))[:0]
 	var g []int
 	cb := func(j int, v core.Value, ok bool) { vals[g[j]], oks[g[j]] = v, ok }
@@ -447,9 +393,7 @@ func (e *Elastic) multiWrite(c *core.Ctx, sc *core.BatchScratch, n int, keyAt fu
 	for len(pending) > 0 {
 		p := e.cur.Load()
 		parts := len(p.shards)
-		idx, off := groupBatch(sc, len(pending), parts, func(j int) int {
-			return route(keyAt(pending[j]), parts)
-		})
+		idx, off := groupBatch(sc, len(pending), parts, func(j int) int { return p.r.index(keyAt(pending[j])) })
 		applied := sc.Bools(len(pending))
 		memberBuf := sc.Ints(len(pending))
 		stale := false

@@ -47,6 +47,7 @@ func TestBatchAllocs(t *testing.T) {
 	}{
 		{"skiplist/herlihy", [2]float64{128, 2}},
 		{"sharded(32,skiplist/herlihy)", [2]float64{132, 5}},
+		{"striped(32,skiplist/herlihy)", [2]float64{132, 5}},
 		{"hashtable/lazy", [2]float64{192, 128}},
 		{"sharded(32,hashtable/lazy)", [2]float64{192, 128}},
 	} {

@@ -2,11 +2,12 @@
 // that build a higher-throughput linearizable core.Set out of instances of
 // any registered algorithm. The paper (conf_spaa_DavidG16) evaluates its
 // structures one instance at a time; these combinators are the horizontal
-// step — hash sharding, key-space striping, and bounded read-through
-// caching — and they keep the paper's fine-grained metrics flowing: every
-// inner operation runs under the caller's *core.Ctx, so lock-wait times
-// and restart counts from all shards aggregate into the same per-thread
-// stats slots the harness already reads.
+// step — partitioning (one Partition type under two routers: block-hashed
+// sharding and key-space striping, plus the online-resizable Elastic) and
+// bounded read-through caching — and they keep the paper's fine-grained
+// metrics flowing: every inner operation runs under the caller's
+// *core.Ctx, so lock-wait times and restart counts from all parts
+// aggregate into the same per-thread stats slots the harness reads.
 //
 // The wrappers register themselves with the core combinator registry
 // under the names "sharded", "striped", "readcache" and "elastic", so
@@ -25,7 +26,6 @@ package combinator
 
 import (
 	"fmt"
-	"math/bits"
 
 	"csds/internal/core"
 )
@@ -95,43 +95,6 @@ func init() {
 		Desc:     "hash partition resizable online via core.Resizable (epoch-swapped COW shard map)",
 		Validate: validateWidth("elastic"),
 	})
-}
-
-// mix64 is the SplitMix64 finalizer: a full-avalanche bijection that turns
-// the dense integer keys of the paper's workloads into uniform hash bits.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// indexOf maps a 64-bit hash onto [0, n) without modulo bias via the
-// fixed-point trick: hi(h * n / 2^64).
-func indexOf(h uint64, n int) int {
-	hi, _ := bits.Mul64(h, uint64(n))
-	return int(hi)
-}
-
-// routeBlockBits sets the granularity of hash routing: keys are routed
-// by their aligned 2^routeBlockBits-key block, not one by one, so
-// neighbouring keys share a part and a short ordered window touches a
-// few parts in key order instead of all of them. One constant, not a
-// knob: 64 keys is the smallest block on the measured plateau — 16- and
-// 32-key blocks cost the ordered paths 19 % and 10 %, 64 to 256 read
-// the same (DESIGN "Block-hashed routing").
-const routeBlockBits = 6
-
-// route is the one spelling of hash routing: the part, of n, that owns
-// k's block. Every hash-partitioned path — point ops, batch groupers,
-// migration, the ordered walks — goes through it, so no two of them can
-// disagree about who owns a key. The logical shift of the two's-
-// complement bits floors negative keys like an arithmetic one: -64..-1
-// and 0..63 are two different blocks.
-func route(k core.Key, n int) int {
-	return indexOf(mix64(uint64(k)>>routeBlockBits), n)
 }
 
 // splitOptions derives the per-instance options for an n-way partition:

@@ -60,15 +60,15 @@ func TestCompositeSuitesMoreLeaves(t *testing.T) {
 }
 
 // TestCompositeScanners runs the linearizable range-scan battery over
-// every combinator. Striped preserves inner order, sharded walks blocks
-// in key order or sorts its merge, elastic sorts its merge, readcache
-// inherits the inner order — and since the hash tables grew their
-// ordered key index, every leaf in the module scans ascending, so every
-// composite does too.
+// every combinator. Striped walks stripes in key order, sharded walks
+// blocks or replays its collected shards block by block, elastic always
+// replays, readcache inherits the inner order — and since the hash
+// tables grew their ordered key index, every leaf in the module scans
+// ascending, so every composite does too.
 func TestCompositeScanners(t *testing.T) {
 	runSpecs(t, settest.RunScanner,
 		"sharded(16,list/lazy)",
-		"sharded(4,hashtable/lazy)",    // merge sort orders the hash leaves
+		"sharded(4,hashtable/lazy)",    // wide windows replay the hash leaves by block
 		"sharded(32,skiplist/herlihy)", // the repo benchmark's range spec
 		"striped(8,skiplist/herlihy)",
 		"striped(4,hashtable/lazy)",
@@ -127,9 +127,9 @@ func TestCompositeCursorsMoreLeaves(t *testing.T) {
 
 // TestCompositeBatchers runs the batched-operation battery over every
 // combinator: shard-grouped sub-batches (sharded, including the
-// single-shard flat-combining path), per-stripe grouping (striped),
-// probe-then-forward (readcache), epoch- and gate-disciplined grouping
-// (elastic), and nesting. sharded(1,...) maximizes the single-shard
+// single-shard flat-combining path), the same routed paths under range
+// routing (striped), probe-then-forward (readcache), epoch- and
+// gate-disciplined grouping (elastic), and nesting. sharded(1,...) maximizes the single-shard
 // combine path's exposure; sharded(·,skiplist/herlihy) is the one-call
 // PartBatcher path (the repo benchmark's range spec at 32).
 func TestCompositeBatchers(t *testing.T) {
@@ -188,9 +188,9 @@ func TestShardedRoutingAndLen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := s.(*Sharded)
-	if sh.Shards() != 16 {
-		t.Fatalf("Shards = %d", sh.Shards())
+	sh := s.(*Partition)
+	if sh.Parts() != 16 {
+		t.Fatalf("Parts = %d", sh.Parts())
 	}
 	c := ctx()
 	// The router hashes aligned 64-key blocks, so spread is a property of
@@ -206,7 +206,7 @@ func TestShardedRoutingAndLen(t *testing.T) {
 	}
 	// Hash partitioning must actually spread: with 1000 blocks over 16
 	// shards no shard should be empty or hold more than a third.
-	for i, inner := range sh.shards {
+	for i, inner := range sh.parts {
 		l := inner.Len()
 		if l == 0 || l > n/3 {
 			t.Fatalf("shard %d holds %d of %d keys — degenerate hash spread", i, l, n)
@@ -215,20 +215,10 @@ func TestShardedRoutingAndLen(t *testing.T) {
 	// Routing is deterministic: the shard that answers Get is the one
 	// that absorbed Put.
 	for k := core.Key(stride); k <= n*stride; k += stride {
-		if v, ok := sh.shard(k).Get(c, k); !ok || v != k {
+		if v, ok := sh.parts[sh.r.index(k)].Get(c, k); !ok || v != k {
 			t.Fatalf("key %d not in its own shard", k)
 		}
 	}
-}
-
-// stripeIndex resolves which stripe instance a key routes to.
-func stripeIndex(st *Striped, k core.Key) int {
-	for i := range st.stripes {
-		if st.stripe(k) == st.stripes[i] {
-			return i
-		}
-	}
-	return -1
 }
 
 func TestStripedOrderPreserving(t *testing.T) {
@@ -238,26 +228,26 @@ func TestStripedOrderPreserving(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := s.(*Striped)
-	if st.Stripes() != 8 {
-		t.Fatalf("Stripes = %d", st.Stripes())
+	st := s.(*Partition)
+	if st.Parts() != 8 {
+		t.Fatalf("Parts = %d", st.Parts())
 	}
 	// Stripe index must be monotone in the key across the whole signed
 	// range, including the extremes next to the sentinels.
 	keys := []core.Key{core.KeyMin + 1, -3, 0, 3, 256, 512, 1024, 2047, 1 << 40, core.KeyMax - 1}
 	last := -1
 	for _, k := range keys {
-		idx := stripeIndex(st, k)
+		idx := st.r.index(k)
 		if idx < last {
 			t.Fatalf("stripe index not monotone at key %d: %d < %d", k, idx, last)
 		}
 		last = idx
 	}
 	// Out-of-domain keys clamp to the end stripes.
-	if stripeIndex(st, core.KeyMin+1) != 0 || stripeIndex(st, -1) != 0 {
+	if st.r.index(core.KeyMin+1) != 0 || st.r.index(-1) != 0 {
 		t.Fatal("keys below the domain not clamped to the first stripe")
 	}
-	if stripeIndex(st, 1<<40) != 7 || stripeIndex(st, core.KeyMax-1) != 7 {
+	if st.r.index(1<<40) != 7 || st.r.index(core.KeyMax-1) != 7 {
 		t.Fatal("keys above the domain not clamped to the last stripe")
 	}
 }
@@ -271,7 +261,7 @@ func TestStripedSpreadsWorkloadKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := s.(*Striped)
+	st := s.(*Partition)
 	c := ctx()
 	for k := core.Key(1); k <= 2*size; k++ {
 		if !s.Put(c, k, k) {
@@ -281,7 +271,7 @@ func TestStripedSpreadsWorkloadKeys(t *testing.T) {
 	if s.Len() != 2*size {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	for i, inner := range st.stripes {
+	for i, inner := range st.parts {
 		l := inner.Len()
 		if l == 0 || l > 2*size/4 {
 			t.Fatalf("stripe %d holds %d of %d workload keys — degenerate partition", i, l, 2*size)
@@ -290,7 +280,7 @@ func TestStripedSpreadsWorkloadKeys(t *testing.T) {
 	// Order preservation: each stripe's keys form one contiguous run.
 	lastStripe := 0
 	for k := core.Key(1); k <= 2*size; k++ {
-		idx := stripeIndex(st, k)
+		idx := st.r.index(k)
 		if idx < lastStripe {
 			t.Fatalf("key %d routed backwards: stripe %d after %d", k, idx, lastStripe)
 		}
@@ -301,15 +291,15 @@ func TestStripedSpreadsWorkloadKeys(t *testing.T) {
 // TestStripedWidthClampsToSpan pins the degenerate-partition fix: with a
 // key span smaller than the stripe count, per-stripe width used to round
 // to 1 and the trailing stripes could never receive a key. The effective
-// width now clamps to the span and Stripes reports it.
+// width now clamps to the span and Parts reports it.
 func TestStripedWidthClampsToSpan(t *testing.T) {
 	s, err := core.Build("striped(8,list/lazy)", core.Options{KeySpan: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := s.(*Striped)
-	if st.Stripes() != 3 {
-		t.Fatalf("Stripes = %d, want 3 (clamped to the span)", st.Stripes())
+	st := s.(*Partition)
+	if st.Parts() != 3 {
+		t.Fatalf("Parts = %d, want 3 (clamped to the span)", st.Parts())
 	}
 	c := ctx()
 	for k := core.Key(0); k < 3; k++ {
@@ -319,13 +309,13 @@ func TestStripedWidthClampsToSpan(t *testing.T) {
 	}
 	// Every stripe must be reachable: the three domain keys land on three
 	// distinct stripes.
-	for i, inner := range st.stripes {
+	for i, inner := range st.parts {
 		if inner.Len() != 1 {
 			t.Fatalf("stripe %d holds %d keys, want exactly 1", i, inner.Len())
 		}
 	}
 	// Out-of-domain keys still clamp to the end stripes.
-	if stripeIndex(st, 100) != 2 || stripeIndex(st, -5) != 0 {
+	if st.r.index(100) != 2 || st.r.index(-5) != 0 {
 		t.Fatal("clamping to end stripes broken by the width clamp")
 	}
 	// A span of zero (no hints) must keep the full-domain behaviour.
@@ -333,7 +323,7 @@ func TestStripedWidthClampsToSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := wide.(*Striped).Stripes(); w != 8 {
+	if w := wide.(*Partition).Parts(); w != 8 {
 		t.Fatalf("hint-less striped clamped to %d, want 8", w)
 	}
 }
@@ -541,7 +531,7 @@ func TestStripedKeySpanDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := s.(*Striped)
+	st := s.(*Partition)
 	c := ctx()
 	const n = 4096
 	for i := 0; i < n; i++ {
@@ -550,7 +540,7 @@ func TestStripedKeySpanDomain(t *testing.T) {
 			t.Fatalf("Put(%d) failed", k)
 		}
 	}
-	for i, inner := range st.stripes {
+	for i, inner := range st.parts {
 		l := inner.Len()
 		if l == 0 || l > n/4 {
 			t.Fatalf("stripe %d holds %d of %d span-wide keys — KeySpan domain ignored", i, l, n)
@@ -601,10 +591,10 @@ func TestNestedStripedKeepsDomain(t *testing.T) {
 			t.Fatalf("Put(%d) failed", k)
 		}
 	}
-	for si, shard := range s.(*Sharded).shards {
-		st := shard.(*Striped)
+	for si, shard := range s.(*Partition).parts {
+		st := shard.(*Partition)
 		total := st.Len()
-		for i, inner := range st.stripes {
+		for i, inner := range st.parts {
 			l := inner.Len()
 			if l > total/2 {
 				t.Fatalf("shard %d stripe %d holds %d of %d keys — inner domain derived from divided size", si, i, l, total)

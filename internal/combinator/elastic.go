@@ -9,7 +9,7 @@ import (
 	"csds/internal/locks"
 )
 
-// Elastic is a hash-partitioned composite (like Sharded) whose width can
+// Elastic is a block-hashed partition (like sharded(N,·)) whose width can
 // be changed online: Resize repartitions the keys over a new shard count
 // while readers and writers keep running. It is the combinator layer's
 // answer to shifting load — a deployment can start at sharded(1) cost and
@@ -22,7 +22,7 @@ import (
 // a resize builds a whole new map and publishes it with a single atomic
 // swap. The paper's thesis (blocking structures are practically wait-free
 // because waiting is rare) sets the bar for the steady state: the read
-// path adds one atomic pointer load and one flag load over Sharded and
+// path adds one atomic pointer load and one flag load over Partition and
 // never waits, resizing or not.
 //
 // Resize protocol. Each shard carries a frozen flag and an in-flight
@@ -56,7 +56,7 @@ import (
 //     completed swap retries, against the new map.
 //
 // Linearizability: away from resizes, operations linearize at their inner
-// operation, exactly like Sharded. Around a resize, writes linearize at
+// operation, exactly like Partition. Around a resize, writes linearize at
 // their inner operation (always on a shard the migrator has not yet
 // copied, or on the new map after the swap), and reads linearize at the
 // inner Get or at their map re-check, as argued above.
@@ -69,10 +69,12 @@ type Elastic struct {
 	resizes  atomic.Uint64
 }
 
-// epartition is one immutable shard-map epoch. sets lists the shards'
-// instances in shard order — the shape the core merge primitives take,
-// built once with the map instead of once per scan or page.
+// epartition is one immutable shard-map epoch: its block-hashed router
+// and shards. sets lists the shards' instances in shard order — the
+// shape the core merge primitives take, built once with the map instead
+// of once per scan or page.
 type epartition struct {
+	r      router
 	shards []eshard
 	sets   []core.Set
 }
@@ -87,11 +89,11 @@ type eshard struct {
 	_       [32]byte
 }
 
-// route picks the shard for a key: the package's one block-hashed
-// router, so point ops, the batch groupers and migration's re-route
-// agree with each other and with Sharded.
+// route picks the shard for a key through the package's one router, so
+// point ops, the batch groupers, scans and migration's re-route agree
+// with each other and with sharded(N,·).
 func (p *epartition) route(k core.Key) *eshard {
-	return &p.shards[route(k, len(p.shards))]
+	return &p.shards[p.r.index(k)]
 }
 
 // NewElastic builds an elastic composite with the given initial width.
@@ -119,7 +121,7 @@ func NewElastic(n int, inner func(core.Options) core.Set, o core.Options) (*Elas
 // original (undivided) option hints.
 func (e *Elastic) buildPartition(n int) *epartition {
 	so := splitOptions(e.opts, n)
-	p := &epartition{shards: make([]eshard, n), sets: make([]core.Set, n)}
+	p := &epartition{r: router{n: n}, shards: make([]eshard, n), sets: make([]core.Set, n)}
 	for i := range p.shards {
 		p.sets[i] = e.inner(so)
 		p.shards[i].set = p.sets[i]
@@ -217,11 +219,11 @@ func (e *Elastic) current(p *epartition, i int) bool {
 // loaded map through its own linearizable scan (core.MergeScan) and
 // re-check the staleness witness after each shard — a stale collection
 // is discarded before anything is delivered and the scan restarts on
-// the published map. A consistent pass sorts the disjoint union and
-// replays in ascending key order, exactly like Sharded's wide-window
-// path. (Sharded's block walk delivers as it pulls; a stale-epoch abort
-// must have delivered nothing, so Elastic keeps the merge at every
-// window width.)
+// the published map. A consistent pass replays the disjoint union block
+// by block in ascending key order, exactly like Partition's wide-window
+// path. (Partition's block walk delivers as it pulls; a stale-epoch
+// abort must have delivered nothing, so Elastic keeps collect-and-replay
+// at every window width.) Discarded epochs count as scan retries.
 //
 // Under pathological resize churn the optimistic pass could retry
 // forever, so after scanEpochRetries discarded epochs the scan takes
@@ -237,8 +239,9 @@ func (e *Elastic) Scan(c *core.Ctx, lo, hi core.Key, f func(k core.Key, v core.V
 	defer c.EpochExit()
 	for attempt := 0; attempt < scanEpochRetries; attempt++ {
 		p := e.cur.Load()
-		finished, aborted := core.MergeScan(c, p.sets, lo, hi, func(i int) bool { return e.current(p, i) }, f)
+		finished, aborted := core.MergeScan(c, p.sets, p.r.segment, lo, hi, func(i int) bool { return e.current(p, i) }, f)
 		if !aborted {
+			c.RecordScanRetries(attempt)
 			return finished
 		}
 	}
@@ -249,12 +252,14 @@ func (e *Elastic) Scan(c *core.Ctx, lo, hi core.Key, f func(k core.Key, v core.V
 	// the structure anyway, so all a slow f can delay is a resize.
 	e.resizeMu.Lock()
 	defer e.resizeMu.Unlock()
-	finished, _ := core.MergeScan(c, e.cur.Load().sets, lo, hi, nil, f)
+	c.RecordScanRetries(scanEpochRetries)
+	p := e.cur.Load()
+	finished, _ := core.MergeScan(c, p.sets, p.r.segment, lo, hi, nil, f)
 	return finished
 }
 
 // CursorNext implements core.Cursor by lazy streaming merge (not
-// Sharded's block drain, for the reason given at Scan) under the same
+// Partition's block drain, for the reason given at Scan) under the same
 // old-then-new epoch discipline as Scan, at refill granularity:
 // the shards of the loaded map are pulled in small bounded chunks
 // (core.StreamMergeNext — each pull one atomic sub-snapshot of its
@@ -350,12 +355,6 @@ func (e *Elastic) Resize(c *core.Ctx, n int) error {
 	// its shards' nodes feed the pools. Shards whose structures cannot
 	// pool (and the map skeleton itself) simply fall to the GC when the
 	// callback drops the last reference.
-	c.Retire(old, func(v any) {
-		for i := range v.(*epartition).shards {
-			if r, ok := v.(*epartition).shards[i].set.(core.Reclaimer); ok {
-				r.ReclaimAll()
-			}
-		}
-	})
+	c.Retire(old, func(v any) { reclaimParts(v.(*epartition).sets) })
 	return nil
 }

@@ -182,7 +182,7 @@ func TestElasticAnchorSurvivesResizes(t *testing.T) {
 }
 
 // TestElasticStatsFlow verifies inner fine-grained metrics surface
-// through the elastic layer, exactly as through Sharded.
+// through the elastic layer, exactly as through sharded(N,·).
 func TestElasticStatsFlow(t *testing.T) {
 	s, err := core.Build("elastic(4,list/lazy)", core.Options{})
 	if err != nil {
@@ -234,5 +234,83 @@ func TestElasticRange(t *testing.T) {
 	})
 	if n != 10 {
 		t.Fatalf("early stop visited %d, want 10", n)
+	}
+}
+
+// gatedScan is a leaf whose first Scan — on any instance sharing the
+// gate — signals entered and blocks until release closes, so a test can
+// land a Resize inside an elastic scan's collect deterministically.
+type gatedScan struct {
+	core.Set
+	gate *scanGate
+}
+
+type scanGate struct {
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (g gatedScan) Range(f func(k core.Key, v core.Value) bool) { g.Set.(core.Ranger).Range(f) }
+
+func (g gatedScan) CursorNext(c *core.Ctx, pos, hi core.Key, max int, f func(k core.Key, v core.Value) bool) (core.Key, bool) {
+	return g.Set.(core.Cursor).CursorNext(c, pos, hi, max, f)
+}
+
+func (g gatedScan) Scan(c *core.Ctx, lo, hi core.Key, f func(k core.Key, v core.Value) bool) bool {
+	g.gate.once.Do(func() {
+		close(g.gate.entered)
+		<-g.gate.release
+	})
+	return g.Set.(core.Scanner).Scan(c, lo, hi, f)
+}
+
+// TestElasticScanRecordsEpochRetries: a Resize published while a scan is
+// collecting its first shard makes that collection stale; the scan must
+// discard it, retry on the new map, deliver the exact window, and count
+// the discarded epoch in the caller's ScanRetries.
+func TestElasticScanRecordsEpochRetries(t *testing.T) {
+	gate := &scanGate{entered: make(chan struct{}), release: make(chan struct{})}
+	inner, err := core.NewFactory("skiplist/herlihy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewElastic(2, func(o core.Options) core.Set { return gatedScan{inner(o), gate} }, core.Options{ExpectedSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := ctx()
+	for k := core.Key(0); k < 256; k++ {
+		e.Put(fill, k, k+1)
+	}
+	c := core.NewCtx(1)
+	var got []core.Key
+	var finished bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		finished = e.Scan(c, 10, 250, func(k core.Key, v core.Value) bool {
+			if v != k+1 {
+				t.Errorf("key %d delivered with value %d", k, v)
+			}
+			got = append(got, k)
+			return true
+		})
+	}()
+	<-gate.entered
+	if err := e.Resize(fill, 8); err != nil {
+		t.Fatal(err)
+	}
+	close(gate.release)
+	<-done
+	if !finished || len(got) != 240 {
+		t.Fatalf("scan finished=%v with %d keys, want true with 240", finished, len(got))
+	}
+	for i, k := range got {
+		if k != core.Key(10+i) {
+			t.Fatalf("position %d holds key %d, want %d", i, k, 10+i)
+		}
+	}
+	if c.Stats.ScanRetries < 1 {
+		t.Fatalf("ScanRetries = %d after a scan that discarded a superseded epoch, want >= 1", c.Stats.ScanRetries)
 	}
 }

@@ -28,13 +28,15 @@ func countKey(core.Key, core.Value) bool { visited++; return true }
 // chosen so sharded(32,·) takes each of its ordered paths: a page inside
 // the block drain, a page that exhausts the drain's pull cap on empty
 // blocks and finishes through the merge, a scan narrow enough for the
-// block walk, and one wide enough (> 32 blocks) for collect-and-merge.
+// block walk, and one wide enough (> 32 blocks) for collect-and-replay,
+// which elastic composites take at every width.
 func TestFrameAllocs(t *testing.T) {
 	for _, spec := range []string{
 		"skiplist/herlihy",
 		"hashtable/lazy",
 		"sharded(32,skiplist/herlihy)",
 		"elastic(8,list/lazy)",
+		"elastic(32,skiplist/herlihy)",
 	} {
 		for _, useEBR := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/ebr=%v", spec, useEBR), func(t *testing.T) {

@@ -289,3 +289,11 @@ func (r *ReadCache) CursorNext(c *core.Ctx, pos, hi core.Key, max int, f func(k 
 // (CacheHits/CacheMisses — plain per-thread increments, no shared RMW),
 // which the harness folds into the cache_hit_frac bench column.
 func (r *ReadCache) Fills() uint64 { return r.fills.Load() }
+
+// ReclaimAll implements core.Reclaimer by delegation to the inner
+// structure (cached rcEntry boxes are plain values; the GC takes them).
+func (r *ReadCache) ReclaimAll() {
+	if rec, ok := r.inner.(core.Reclaimer); ok {
+		rec.ReclaimAll()
+	}
+}

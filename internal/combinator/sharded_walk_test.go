@@ -9,10 +9,11 @@ import (
 	"csds/internal/core"
 )
 
-// Tests for block-hashed routing (route) and the two ordered paths it
-// buys Sharded: the block walk under Scan and the block drain, with its
-// give-up hand-off to the k-way merge, under CursorNext. Everything is
-// checked against a sorted-slice reference.
+// Tests for block-hashed routing (route) and the ordered paths it buys
+// sharded(N,·): the block walk under Scan, the segment replay of wider
+// windows (which striped and elastic composites share), and the block
+// drain, with its give-up hand-off to the k-way merge, under CursorNext.
+// Everything is checked against a sorted-slice reference.
 
 const blockKeys = 1 << routeBlockBits
 
@@ -61,7 +62,7 @@ var walkSpecs = []string{"sharded(4,skiplist/herlihy)", "sharded(32,hashtable/la
 
 // buildKeys builds spec holding exactly keys (value = key + 1) and
 // returns it with the sorted reference.
-func buildKeys(t *testing.T, spec string, keys []core.Key) (*Sharded, *core.Ctx, []core.ScanPair) {
+func buildKeys(t *testing.T, spec string, keys []core.Key) (core.Set, *core.Ctx, []core.ScanPair) {
 	t.Helper()
 	s, err := core.Build(spec, core.Options{ExpectedSize: len(keys)})
 	if err != nil {
@@ -76,7 +77,7 @@ func buildKeys(t *testing.T, spec string, keys []core.Key) (*Sharded, *core.Ctx,
 		ref = append(ref, core.ScanPair{K: k, V: k + 1})
 	}
 	core.SortScanPairs(ref)
-	return s.(*Sharded), c, ref
+	return s, c, ref
 }
 
 // window is the reference's answer for [lo, hi).
@@ -105,7 +106,10 @@ func (s scanSpy) Scan(c *core.Ctx, lo, hi core.Key, f func(k core.Key, v core.Va
 
 // TestShardedScanWalkAndMerge: scans of every shape agree with the
 // reference, and the walk/merge threshold sits exactly at one block per
-// shard.
+// shard. Wide windows — dense, and sparse ones whose few keys sit
+// billions of empty blocks apart — must come out of the segment replay
+// exact on every partition that uses it: sharded past N blocks, elastic
+// always, and striped's stripe walk alongside.
 func TestShardedScanWalkAndMerge(t *testing.T) {
 	var keys []core.Key
 	for k := core.Key(-40 * blockKeys); k < 40*blockKeys; k += 3 {
@@ -114,13 +118,80 @@ func TestShardedScanWalkAndMerge(t *testing.T) {
 	for i := core.Key(0); i < 3*blockKeys; i += 5 {
 		keys = append(keys, core.KeyMin+1+i, core.KeyMax-1-i)
 	}
-	for _, spec := range walkSpecs {
+	sparse := []core.Key{
+		core.KeyMin + 1, core.KeyMin + 100, -(1 << 55), // from KeyMin+1
+		-(1 << 35), -1_000_000, -65, // negative
+		1 << 52, 1 << 60, core.KeyMax - 1, // under hi = KeyMax
+	}
+	for _, spec := range append(walkSpecs, "elastic(4,skiplist/herlihy)", "elastic(32,hashtable/lazy)", "striped(4,skiplist/herlihy)", "striped(32,hashtable/lazy)") {
 		t.Run(spec, func(t *testing.T) {
 			s, c, ref := buildKeys(t, spec, keys)
-			n := core.Key(s.Shards())
+			var n core.Key
+			switch p := s.(type) {
+			case *Partition:
+				n = core.Key(p.Parts())
+			case *Elastic:
+				n = core.Key(p.Width())
+			}
+			wide := []struct {
+				name   string
+				lo, hi core.Key
+			}{
+				{"N+1 blocks", -3*blockKeys + 5, (n-2)*blockKeys + 5},
+				{"4N blocks", -2*n*blockKeys - 7, 2*n*blockKeys - 7},
+				{"the whole line", core.KeyMin + 1, core.KeyMax},
+			}
+			for _, w := range wide {
+				samePairs(t, w.name, collectScan(s, c, w.lo, w.hi), window(ref, w.lo, w.hi))
+			}
+			ss, sc, sref := buildKeys(t, spec, sparse)
+			for _, w := range []struct {
+				name   string
+				lo, hi core.Key
+			}{
+				{"three keys under KeyMax", 1 << 50, core.KeyMax},
+				{"negative keys", -(1 << 40), -1},
+				{"from KeyMin+1", core.KeyMin + 1, -(1 << 50)},
+				{"sparse whole line", core.KeyMin + 1, core.KeyMax},
+			} {
+				got := collectScan(ss, sc, w.lo, w.hi)
+				if want := window(sref, w.lo, w.hi); len(want) < 3 {
+					t.Fatalf("%s: the reference holds %d keys, want at least 3", w.name, len(want))
+				}
+				samePairs(t, w.name, got, window(sref, w.lo, w.hi))
+			}
+			// Early stop on the walk, the dense replay and the sparse
+			// replay: nothing is delivered past the key that stopped it.
+			for _, tc := range []struct {
+				s   core.Set
+				c   *core.Ctx
+				ref []core.ScanPair
+				w   [2]core.Key
+			}{
+				{s, c, ref, [2]core.Key{-100, 100}},
+				{s, c, ref, [2]core.Key{core.KeyMin + 1, core.KeyMax}},
+				{ss, sc, sref, [2]core.Key{core.KeyMin + 1, core.KeyMax}},
+			} {
+				want := window(tc.ref, tc.w[0], tc.w[1])[:5]
+				var got []core.ScanPair
+				finished := tc.s.(core.Scanner).Scan(tc.c, tc.w[0], tc.w[1], func(k core.Key, v core.Value) bool {
+					got = append(got, core.ScanPair{K: k, V: v})
+					return len(got) < 5
+				})
+				if finished {
+					t.Fatalf("scan of %v stopped by f reported finished", tc.w)
+				}
+				samePairs(t, fmt.Sprint("early stop in ", tc.w), got, want)
+			}
+			p, ok := s.(*Partition)
+			if !ok || p.r.per != 0 {
+				return
+			}
+			// Block-hashed: which path each window took, seen from the
+			// shards.
 			var log [][2]core.Key
-			for i, sh := range s.shards {
-				s.shards[i] = scanSpy{sh, &log}
+			for i, sh := range p.parts {
+				p.parts[i] = scanSpy{sh, &log}
 			}
 			for _, tc := range []struct {
 				name   string
@@ -131,6 +202,8 @@ func TestShardedScanWalkAndMerge(t *testing.T) {
 				{"N+1 blocks by one key", -2 * blockKeys, (n-2)*blockKeys + 1, false},
 				{"N blocks, unaligned", -2*blockKeys + 7, (n-2)*blockKeys - 9, true},
 				{"N+1 blocks, unaligned", -2*blockKeys - 1, (n-2)*blockKeys - 9, false},
+				{wide[0].name, wide[0].lo, wide[0].hi, false},
+				{wide[1].name, wide[1].lo, wide[1].hi, false},
 				{"inside one block", 70, 100, true},
 				{"across zero", -100, 100, true},
 				{"from KeyMin+1", core.KeyMin + 1, core.KeyMin + 1 + 2*blockKeys, true},
@@ -139,7 +212,7 @@ func TestShardedScanWalkAndMerge(t *testing.T) {
 				{"empty", 5, 5, true},
 			} {
 				log = log[:0]
-				samePairs(t, tc.name, collectScan(s, c, tc.lo, tc.hi), window(ref, tc.lo, tc.hi))
+				samePairs(t, tc.name, collectScan(p, c, tc.lo, tc.hi), window(ref, tc.lo, tc.hi))
 				if tc.lo >= tc.hi {
 					if len(log) != 0 {
 						t.Fatalf("%s: %d shard scans for an empty window", tc.name, len(log))
@@ -174,20 +247,6 @@ func TestShardedScanWalkAndMerge(t *testing.T) {
 					t.Fatalf("%s: walk ended at %d, want %d", tc.name, at, tc.hi)
 				}
 			}
-			// Early stop on the walk and on the merge: nothing is
-			// delivered past the key that stopped it.
-			for _, w := range [][2]core.Key{{-100, 100}, {core.KeyMin + 1, core.KeyMax}} {
-				want := window(ref, w[0], w[1])[:5]
-				var got []core.ScanPair
-				finished := s.Scan(c, w[0], w[1], func(k core.Key, v core.Value) bool {
-					got = append(got, core.ScanPair{K: k, V: v})
-					return len(got) < 5
-				})
-				if finished {
-					t.Fatalf("scan of %v stopped by f reported finished", w)
-				}
-				samePairs(t, fmt.Sprint("early stop in ", w), got, want)
-			}
 		})
 	}
 }
@@ -203,7 +262,8 @@ func TestShardedPageBoundaries(t *testing.T) {
 	const hi = 4 * blockKeys
 	for _, spec := range walkSpecs {
 		t.Run(spec, func(t *testing.T) {
-			s, c, ref := buildKeys(t, spec, keys)
+			set, c, ref := buildKeys(t, spec, keys)
+			s := set.(*Partition)
 			for _, tc := range []struct {
 				name     string
 				pos      core.Key
@@ -254,8 +314,9 @@ func TestShardedSparsePagesHandOff(t *testing.T) {
 	const max = 5
 	for _, spec := range walkSpecs {
 		t.Run(spec, func(t *testing.T) {
-			s, c, ref := buildKeys(t, spec, keys)
-			bound := uint64(2*s.Shards() + 1)
+			set, c, ref := buildKeys(t, spec, keys)
+			s := set.(*Partition)
+			bound := uint64(2*s.Parts() + 1)
 			var got []core.ScanPair
 			pos, done, pages := core.Key(core.KeyMin+1), false, 0
 			for !done {

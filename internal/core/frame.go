@@ -1,5 +1,5 @@
 // Page frames: the thread-transient scratch under every guarded collect
-// (GuardedScan, GuardedPage) and every composite merge (MergeScan,
+// (GuardedScan, GuardedPage) and every composite read (MergeScan,
 // StreamMergeNext, StreamDrainNext).
 //
 // A collect needs a pair buffer and an emit callback that appends to it;
@@ -50,7 +50,14 @@ type pageFrame struct {
 	streams []pageStream
 	heap    mergeHeap
 	arena   []ScanPair
+
+	// Replay role (MergeScan): each part's collected run in buf.
+	runs []partRun
 }
+
+// partRun is one part's ascending sub-snapshot in a frame's buf: the
+// pairs at [next, end) are collected and not yet replayed.
+type partRun struct{ next, end int }
 
 var framePool = sync.Pool{New: func() any {
 	fr := new(pageFrame)

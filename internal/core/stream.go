@@ -1,8 +1,8 @@
 // Streaming pull layer of the cursor machinery: pageStream (a bounded
-// per-source pull buffer over any Cursor) and the composite merges built
-// on it — the lazy k-way page merge, the ordered drain (stripes of a
-// range partition, key blocks of a block-hashed one), and the one-shot
-// collect-and-sort scan.
+// per-source pull buffer over any Cursor) and the composite reads built
+// on it — the lazy k-way page merge, the ordered drain and the one-shot
+// collect-and-replay scan, the last two walking a partition's Segments
+// (stripes of a range partition, key blocks of a block-hashed one).
 //
 // PR 4's composite cursors collected eagerly: every part contributed its
 // first max in-range keys per page and the sorted union was trimmed to
@@ -214,10 +214,20 @@ func (fr *pageFrame) merge(c *Ctx, parts []Set, pos, hi Key, max int, afterPull 
 	return true, false
 }
 
-// MergeScan is the one-shot scan of a hash partition: collect every
-// part's atomic sub-snapshot of [lo, hi) through the part's own
-// linearizable scan, sort the union by key (partitions are disjoint, so
-// there are no duplicates to resolve), and replay in ascending order;
+// Segments names a partition's layout for the ordered walks: for a key
+// position it returns the part owning that key and the exclusive end
+// (> pos) of the contiguous key window that part owns around it — one
+// stripe of a range partition, one aligned key block of a block-hashed
+// one. KeyMax ends the last window (no window holds KeyMax itself: it
+// bounds every scan and page). One part may own many windows.
+type Segments func(pos Key) (part int, end Key)
+
+// MergeScan is the one-shot scan of a partition too wide to walk: it
+// collects every part's atomic sub-snapshot of [lo, hi) through the
+// part's own linearizable scan, then replays the disjoint union in
+// ascending order segment by segment — each part's sub-snapshot is
+// already ascending and segment names the part owning each window, so
+// one read offset per part orders the union without a sort or a heap.
 // finished is false iff f stopped the replay early. Per-key consistency
 // is inherited from the per-part snapshots: every reported presence or
 // absence was true at some instant inside the call.
@@ -225,41 +235,79 @@ func (fr *pageFrame) merge(c *Ctx, parts []Set, pos, hi Key, max int, afterPull 
 // afterPart, when non-nil, runs after parts[i] is collected; returning
 // false aborts the scan before anything is delivered (aborted == true),
 // like StreamMergeNext's afterPull. Every part must implement Scanner.
-func MergeScan(c *Ctx, parts []Set, lo, hi Key, afterPart func(part int) bool, f func(k Key, v Value) bool) (finished, aborted bool) {
+func MergeScan(c *Ctx, parts []Set, segment Segments, lo, hi Key, afterPart func(part int) bool, f func(k Key, v Value) bool) (finished, aborted bool) {
 	fr := getFrame()
 	fr.dst = &fr.buf
+	fr.runs = fr.runs[:0]
 	for i, p := range parts {
+		start := len(fr.buf)
 		p.(Scanner).Scan(c, lo, hi, fr.sink)
+		fr.runs = append(fr.runs, partRun{next: start, end: len(fr.buf)})
 		if afterPart != nil && !afterPart(i) {
 			fr.release()
 			return false, true
 		}
 	}
-	SortScanPairs(fr.buf)
-	finished = ReplayScan(fr.buf, f)
+	finished = fr.replaySegments(segment, lo, f)
 	fr.release()
 	return finished, false
 }
 
+// replaySegments delivers fr.buf, collected as one ascending run per
+// part, in key order: the owner of the current segment delivers its run
+// up to the segment's end, then the next segment's owner takes over.
+// When the owner has nothing in its segment (sparse data under a wide
+// window, where empty blocks would dwarf the keys) the replay jumps to
+// the smallest pending head across the parts instead — n comparisons —
+// and continues from that key's segment, so every step delivers or is
+// followed by one that does.
+func (fr *pageFrame) replaySegments(segment Segments, lo Key, f func(k Key, v Value) bool) bool {
+	buf, runs := fr.buf, fr.runs
+	left := len(buf)
+	part, end := segment(lo)
+	for left > 0 {
+		r := &runs[part]
+		from := r.next
+		for ; r.next < r.end && buf[r.next].K < end; r.next++ {
+			if !f(buf[r.next].K, buf[r.next].V) {
+				return false
+			}
+		}
+		if r.next > from {
+			left -= r.next - from
+			part, end = segment(end)
+			continue
+		}
+		part = -1
+		for i, q := range runs {
+			if q.next < q.end && (part < 0 || buf[q.next].K < buf[runs[part].next].K) {
+				part = i
+			}
+		}
+		// The head's own part delivers it even if segment disagreed — a
+		// misdeclared partition still terminates.
+		_, end = segment(buf[runs[part].next].K)
+	}
+	return true
+}
+
 // StreamDrainNext pages a partition that can be walked in key order —
 // the stripes of a range partition, the aligned key blocks of a
-// block-hashed one — by draining its parts in that order through one
+// block-hashed one — by draining its segments in that order through one
 // bounded pull stream: no merge, no overshoot, and parts beyond the one
-// where the budget fills are never touched. part names the partition: for
-// a position it returns the cursor of the part owning that key and the
-// exclusive end (> pos; clipped to hi here) of the contiguous key window
-// that part owns around it. Each part visited is one pull, one atomic
-// sub-snapshot of [pos, end) on its source; the concatenation is
-// ascending whenever the parts' own cursors are. One source may own many
-// windows and is then pulled once per window, at different instants.
+// where the budget fills are never touched. Each segment visited is one
+// pull, one atomic sub-snapshot of [pos, end) on its owning part's
+// cursor; the concatenation is ascending whenever the parts' own cursors
+// are. A part owning many segments is pulled once per segment, at
+// different instants.
 //
-// The drain gives up after pulls parts: with budget left and the window
+// The drain gives up after pulls pulls: with budget left and the window
 // not exhausted it returns the position reached, done == false and the
-// unspent budget (> 0), so a caller whose windows may all be empty
+// unspent budget (> 0), so a caller whose segments may all be empty
 // (sparse data under a huge hi) can finish the same page another way. In
 // every other outcome — page full, window exhausted, f stopped the
 // delivery — unspent is 0 and (next, done) are final.
-func StreamDrainNext(c *Ctx, part func(pos Key) (src Cursor, end Key), pos, hi Key, max, pulls int, f func(k Key, v Value) bool) (next Key, done bool, unspent int) {
+func StreamDrainNext(c *Ctx, parts []Set, segment Segments, pos, hi Key, max, pulls int, f func(k Key, v Value) bool) (next Key, done bool, unspent int) {
 	if pos >= hi {
 		return hi, true, 0
 	}
@@ -267,10 +315,10 @@ func StreamDrainNext(c *Ctx, part func(pos Key) (src Cursor, end Key), pos, hi K
 	fr := getFrame()
 	defer fr.release()
 	for ; pulls > 0 && pos < hi; pulls-- {
-		src, end := part(pos)
+		part, end := segment(pos)
 		end = min(end, hi)
 		fr.open(c, end, 1, remaining)
-		s := fr.stream(0, src, pos)
+		s := fr.stream(0, parts[part].(Cursor), pos)
 		for fr.refill(s) {
 			pair, _ := s.Pop()
 			if !f(pair.K, pair.V) {

@@ -199,12 +199,16 @@ func TestStreamDrainSequential(t *testing.T) {
 			parts[i].keys = append(parts[i].keys, k)
 		}
 	}
-	hundreds := func(pos Key) (Cursor, Key) { return parts[pos/100], (pos/100 + 1) * 100 }
+	sets := make([]Set, len(parts))
+	for i := range parts {
+		sets[i] = parts[i]
+	}
+	hundreds := func(pos Key) (int, Key) { return int(pos / 100), (pos/100 + 1) * 100 }
 	c := NewCtx(0)
 	var got []Key
 	pos := Key(0)
 	for {
-		next, done, unspent := StreamDrainNext(c, hundreds, pos, 500, 37, len(parts), func(k Key, v Value) bool {
+		next, done, unspent := StreamDrainNext(c, sets, hundreds, pos, 500, 37, len(parts), func(k Key, v Value) bool {
 			got = append(got, k)
 			return true
 		})
@@ -231,7 +235,7 @@ func TestStreamDrainSequential(t *testing.T) {
 	// Ten even keys 0..18 fill the budget; the resume position is one
 	// past the last delivered key.
 	all := func(Key, Value) bool { return true }
-	if next, done, unspent := StreamDrainNext(c, hundreds, 0, 500, 10, len(parts), all); done || next != 19 || unspent != 0 {
+	if next, done, unspent := StreamDrainNext(c, sets, hundreds, 0, 500, 10, len(parts), all); done || next != 19 || unspent != 0 {
 		t.Fatalf("bounded drain returned next=%d done=%v unspent=%d, want 19 false 0", next, done, unspent)
 	}
 	for i, p := range parts[1:] {
@@ -245,7 +249,7 @@ func TestStreamDrainSequential(t *testing.T) {
 	for _, p := range parts {
 		p.pulls = 0
 	}
-	if next, done, unspent := StreamDrainNext(c, hundreds, 0, 500, 130, 2, all); done || next != 200 || unspent != 30 {
+	if next, done, unspent := StreamDrainNext(c, sets, hundreds, 0, 500, 130, 2, all); done || next != 200 || unspent != 30 {
 		t.Fatalf("capped drain returned next=%d done=%v unspent=%d, want 200 false 30", next, done, unspent)
 	}
 	if parts[0].pulls != 1 || parts[1].pulls != 1 || parts[2].pulls != 0 {
@@ -253,15 +257,15 @@ func TestStreamDrainSequential(t *testing.T) {
 	}
 	// A budget filling exactly on a part's last key is exhausted only
 	// when that part ends the window.
-	if next, done, _ := StreamDrainNext(c, hundreds, 0, 500, 50, len(parts), all); done || next != 99 {
+	if next, done, _ := StreamDrainNext(c, sets, hundreds, 0, 500, 50, len(parts), all); done || next != 99 {
 		t.Fatalf("page filling at a part's end returned next=%d done=%v, want 99 false", next, done)
 	}
-	if next, done, _ := StreamDrainNext(c, hundreds, 400, 500, 50, len(parts), all); !done || next != 500 {
+	if next, done, _ := StreamDrainNext(c, sets, hundreds, 400, 500, 50, len(parts), all); !done || next != 500 {
 		t.Fatalf("page filling at the window's end returned next=%d done=%v, want 500 true", next, done)
 	}
 	// An early stop resumes one past the key that stopped it.
 	n := 0
-	if next, done, unspent := StreamDrainNext(c, hundreds, 90, 500, 50, len(parts), func(Key, Value) bool { n++; return n < 7 }); done || next != 103 || unspent != 0 {
+	if next, done, unspent := StreamDrainNext(c, sets, hundreds, 90, 500, 50, len(parts), func(Key, Value) bool { n++; return n < 7 }); done || next != 103 || unspent != 0 {
 		t.Fatalf("stopped drain returned next=%d done=%v unspent=%d, want 103 false 0", next, done, unspent)
 	}
 }
@@ -280,8 +284,8 @@ func TestPageStreamDefensive(t *testing.T) {
 	if !done || next != 100 {
 		t.Fatalf("merge over a liar source returned next=%d done=%v", next, done)
 	}
-	liar := func(Key) (Cursor, Key) { return &emptyLiar{}, 100 }
-	if next, done, _ := StreamDrainNext(NewCtx(0), liar, 0, 100, 8, 1, all); !done || next != 100 {
+	liar := func(Key) (int, Key) { return 0, 100 }
+	if next, done, _ := StreamDrainNext(NewCtx(0), []Set{&emptyLiar{}}, liar, 0, 100, 8, 1, all); !done || next != 100 {
 		t.Fatalf("drain over a liar source returned next=%d done=%v", next, done)
 	}
 }
@@ -296,14 +300,38 @@ func (s *sliceSet) Scan(c *Ctx, lo, hi Key, f func(k Key, v Value) bool) bool {
 	return true
 }
 
-// TestMergeScan: the collect-and-sort scan delivers the ascending union
-// of a mod partition's window, honours early stop, and an afterPart
-// abort — on any part — delivers nothing and leaves the retry complete.
+// modSegments is modPartition's layout: every key is its own segment.
+func modSegments(n int) Segments {
+	return func(pos Key) (int, Key) { return int(pos % Key(n)), pos + 1 }
+}
+
+// blockPartition builds n parts over keys (all non-negative), routing
+// each width-key block to part (block mod n): multi-key segments, the
+// shape of a block-hashed partition.
+func blockPartition(keys []Key, n int, width Key) ([]Set, Segments) {
+	sets := make([]Set, n)
+	parts := make([]*sliceSet, n)
+	for i := range parts {
+		parts[i] = &sliceSet{}
+		sets[i] = parts[i]
+	}
+	for _, k := range keys {
+		p := parts[(k/width)%Key(n)]
+		p.keys = append(p.keys, k)
+	}
+	return sets, func(pos Key) (int, Key) { return int((pos / width) % Key(n)), (pos/width + 1) * width }
+}
+
+// TestMergeScan: the collect-and-replay scan delivers the ascending
+// union of a partition's window — one-key segments, multi-key segments,
+// and sparse keys the replay reaches by jumping over empty segments —
+// honours early stop, including inside a segment, and an afterPart abort
+// on any part delivers nothing and leaves the retry complete.
 func TestMergeScan(t *testing.T) {
 	sets, _ := modPartition(200, 5)
 	c := NewCtx(0)
 	var got []Key
-	finished, aborted := MergeScan(c, sets, 20, 120, nil, func(k Key, v Value) bool {
+	finished, aborted := MergeScan(c, sets, modSegments(5), 20, 120, nil, func(k Key, v Value) bool {
 		got = append(got, k)
 		return v == Value(k)
 	})
@@ -316,18 +344,68 @@ func TestMergeScan(t *testing.T) {
 		}
 	}
 	calls := 0
-	if finished, _ := MergeScan(c, sets, 0, 200, nil, func(Key, Value) bool { calls++; return calls < 7 }); finished || calls != 7 {
+	if finished, _ := MergeScan(c, sets, modSegments(5), 0, 200, nil, func(Key, Value) bool { calls++; return calls < 7 }); finished || calls != 7 {
 		t.Fatalf("early stop: finished=%v after %d calls, want false after 7", finished, calls)
 	}
-	for abortAt := range sets {
-		delivered := 0
-		_, aborted := MergeScan(c, sets, 0, 200, func(part int) bool { return part != abortAt }, func(Key, Value) bool { delivered++; return true })
-		if !aborted || delivered != 0 {
-			t.Fatalf("abort after part %d: aborted=%v with %d keys delivered", abortAt, aborted, delivered)
+
+	var keys []Key
+	for k := Key(0); k < 400; k += 3 {
+		keys = append(keys, k)
+	}
+	blocks, seg := blockPartition(keys, 4, 16)
+	got = got[:0]
+	if finished, _ := MergeScan(c, blocks, seg, 10, 390, nil, func(k Key, _ Value) bool { got = append(got, k); return true }); !finished {
+		t.Fatal("multi-key segments: scan reported an early stop")
+	}
+	want := keys[4:130] // 12 .. 387
+	if len(got) != len(want) {
+		t.Fatalf("multi-key segments: %d keys, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("multi-key segments: position %d holds key %d, want %d", i, got[i], want[i])
 		}
-		n := 0
-		if finished, aborted := MergeScan(c, sets, 0, 200, func(int) bool { return true }, func(k Key, _ Value) bool { n++; return k == Key(n-1) }); !finished || aborted || n != 200 {
-			t.Fatalf("retry after abort: (%v, %v) with %d keys", finished, aborted, n)
+	}
+	// Stop on the third key of the block [48, 64): nothing past it.
+	got = got[:0]
+	if finished, _ := MergeScan(c, blocks, seg, 0, 400, nil, func(k Key, _ Value) bool { got = append(got, k); return k != 57 }); finished || got[len(got)-1] != 57 || len(got) != 20 {
+		t.Fatalf("stop inside a segment: finished=%v, %d keys ending at %d, want false, 20 ending at 57", finished, len(got), got[len(got)-1])
+	}
+
+	// Sparse: three keys over a window of 10^8 16-key segments. Stepping
+	// empty segments would cost 10^8 lookups; the jump costs a handful.
+	sparse, sparseSeg := blockPartition([]Key{5, 1_000_003, 1_600_000_017}, 4, 16)
+	lookups := 0
+	counted := func(pos Key) (int, Key) { lookups++; return sparseSeg(pos) }
+	got = got[:0]
+	MergeScan(c, sparse, counted, 0, 1_600_000_100, nil, func(k Key, _ Value) bool { got = append(got, k); return true })
+	if len(got) != 3 || got[0] != 5 || got[1] != 1_000_003 || got[2] != 1_600_000_017 {
+		t.Fatalf("sparse window delivered %v", got)
+	}
+	if lookups > 10 {
+		t.Fatalf("sparse window took %d segment lookups, want a jump per gap (<= 10)", lookups)
+	}
+
+	for _, tc := range []struct {
+		sets []Set
+		seg  Segments
+		n    int
+	}{{sets, modSegments(5), 200}, {blocks, seg, len(keys)}} {
+		for abortAt := range tc.sets {
+			delivered := 0
+			_, aborted := MergeScan(c, tc.sets, tc.seg, 0, 400, func(part int) bool { return part != abortAt }, func(Key, Value) bool { delivered++; return true })
+			if !aborted || delivered != 0 {
+				t.Fatalf("abort after part %d: aborted=%v with %d keys delivered", abortAt, aborted, delivered)
+			}
+			var got []Key
+			if finished, aborted := MergeScan(c, tc.sets, tc.seg, 0, 400, func(int) bool { return true }, func(k Key, _ Value) bool { got = append(got, k); return true }); !finished || aborted || len(got) != tc.n {
+				t.Fatalf("retry after abort: (%v, %v) with %d keys, want %d", finished, aborted, len(got), tc.n)
+			}
+			for i := 1; i < len(got); i++ {
+				if got[i] <= got[i-1] {
+					t.Fatalf("retry after abort: key %d follows %d", got[i], got[i-1])
+				}
+			}
 		}
 	}
 }

@@ -23,6 +23,7 @@ var fuzzBatchSpecs = []string{
 	"skiplist/herlihy",            // interleaved descents, hinted writes
 	"sharded(4,list/lazy)",        // shard grouping + flat-combining wiring
 	"sharded(4,skiplist/herlihy)", // one routed PartBatcher call
+	"striped(4,skiplist/herlihy)", // the same call under range routing
 	"readcache(64,list/lazy)",     // probe pass + miss sub-batch
 }
 

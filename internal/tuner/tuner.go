@@ -27,7 +27,7 @@
 //     in key order, whatever the width — block-hashed routing), so
 //     scan-heavy workloads keep the width the conflict term alone
 //     demands. The gate predates block-hashed routing and is kept as it
-//     is pending ROADMAP 3b's re-measurement;
+//     is pending ROADMAP 5b's re-measurement;
 //   - cache capacity: the smallest slot table whose hottest-rank Zipf
 //     mass reaches HitMassTarget, quadrupled for direct-map collision
 //     slack — emitted only when the mix is skewed, read-heavy,
@@ -188,10 +188,10 @@ func Derive(in Inputs) (Derived, error) {
 	// 64-key blocks visits every shard and pays the k-way merge fan-in
 	// that wider partitions create, so widening a scan-heavy mix of
 	// such windows trades a per-shard parse it rarely runs for a merge
-	// it always runs. Narrower windows no longer merge — Sharded walks
+	// it always runs. Narrower windows no longer merge — sharded(N,·) walks
 	// them block by block, ⌈window/64⌉+1 pulls at any width — so for
 	// short-scan mixes the gate is now conservative; it is kept as is
-	// pending ROADMAP 3b's re-measurement.
+	// pending ROADMAP 5b's re-measurement.
 	pointFrac := 1 - wl.ScanRatio - wl.CursorRatio - wl.BatchRatio
 	if pointFrac < 0 {
 		pointFrac = 0
