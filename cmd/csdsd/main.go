@@ -37,7 +37,6 @@ type daemonOpts struct {
 	size     int
 	ebr      bool
 	inflight int
-	writeq   int
 	burst    int
 	drain    time.Duration
 	idle     time.Duration
@@ -55,7 +54,6 @@ func newFlags(stderr io.Writer) (*flag.FlagSet, *daemonOpts) {
 	fs.IntVar(&o.size, "size", 1<<16, "expected steady-state element count (sizing hint)")
 	fs.BoolVar(&o.ebr, "ebr", true, "attach an epoch-based reclamation domain")
 	fs.IntVar(&o.inflight, "inflight", 128, "global in-flight request cap; excess sheds SERVER_ERROR busy (<0: unlimited)")
-	fs.IntVar(&o.writeq, "writeq", 32, "per-connection write-queue depth (backpressure bound)")
 	fs.IntVar(&o.burst, "burst", 64, "max pipelined requests merged per read-loop turn")
 	fs.DurationVar(&o.drain, "drain", 30*time.Second, "graceful drain budget after SIGTERM")
 	fs.DurationVar(&o.idle, "idle-timeout", 0, "evict connections with no read progress for this long (0: never)")
@@ -81,7 +79,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Size:         o.size,
 		UseEBR:       o.ebr,
 		MaxInflight:  o.inflight,
-		WriteQueue:   o.writeq,
 		MaxBurst:     o.burst,
 		IdleTimeout:  o.idle,
 		WatchdogTick: o.watchdog,

@@ -40,6 +40,7 @@ package core
 import (
 	"encoding/base64"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 )
@@ -100,31 +101,65 @@ var tokenEnc = base64.RawURLEncoding.Strict()
 // and integrity-checked, so it can round-trip through HTTP query
 // parameters, JSON, logs, and client storage unchanged.
 func (t CursorToken) Encode() string {
+	var b [tokenWireLen]byte
+	return string(t.AppendEncode(b[:0]))
+}
+
+// AppendEncode appends the token's wire form (see Encode) to dst; with
+// tokenWireLen bytes of spare capacity it does not allocate.
+func (t CursorToken) AppendEncode(dst []byte) []byte {
 	var raw [tokenRawLen]byte
 	copy(raw[:], tokenMagic)
 	binary.BigEndian.PutUint64(raw[4:], uint64(t.Lo))
 	binary.BigEndian.PutUint64(raw[12:], uint64(t.Hi))
 	binary.BigEndian.PutUint64(raw[20:], uint64(t.Pos))
-	binary.BigEndian.PutUint32(raw[28:], crc32.ChecksumIEEE(raw[:28]))
-	return tokenEnc.EncodeToString(raw[:])
+	binary.BigEndian.PutUint32(raw[28:], tokenCRC(raw[:28]))
+	return tokenEnc.AppendEncode(dst, raw[:])
 }
+
+// tokenCRC is crc32.ChecksumIEEE(b) computed in line: the library's
+// version calls through a function variable, which moves the caller's
+// stack buffer to the heap on every encode and decode.
+func tokenCRC(b []byte) uint32 {
+	crc := ^uint32(0)
+	for _, v := range b {
+		crc = crc32.IEEETable[byte(crc)^v] ^ crc>>8
+	}
+	return ^crc
+}
+
+// Token decoding errors. They are values, not formatted per call, so a
+// corrupt token costs its decoder no allocation.
+var (
+	errTokenLength   = errors.New("core: cursor token has the wrong length")
+	errTokenAlphabet = errors.New("core: cursor token is not base64url")
+	errTokenHeader   = errors.New("core: cursor token has a bad header")
+	errTokenChecksum = errors.New("core: cursor token checksum mismatch (corrupt token)")
+	errTokenWindow   = errors.New("core: cursor token window is inconsistent")
+)
 
 // DecodeCursorToken parses a wire token. Any corruption — truncation,
 // bit flips, wrong alphabet, inconsistent window — is an error, never a
 // panic and never a silently different window.
 func DecodeCursorToken(s string) (CursorToken, error) {
-	if len(s) != tokenWireLen {
-		return CursorToken{}, fmt.Errorf("core: cursor token has length %d, want %d", len(s), tokenWireLen)
+	return DecodeCursorTokenBytes([]byte(s))
+}
+
+// DecodeCursorTokenBytes is DecodeCursorToken over a byte slice, such as
+// a token still in a network read buffer; it does not allocate.
+func DecodeCursorTokenBytes(b []byte) (CursorToken, error) {
+	if len(b) != tokenWireLen {
+		return CursorToken{}, errTokenLength
 	}
-	raw, err := tokenEnc.DecodeString(s)
-	if err != nil {
-		return CursorToken{}, fmt.Errorf("core: cursor token is not base64url: %v", err)
+	var raw [tokenRawLen]byte
+	if n, err := tokenEnc.Decode(raw[:], b); err != nil || n != tokenRawLen {
+		return CursorToken{}, errTokenAlphabet
 	}
-	if len(raw) != tokenRawLen || string(raw[:4]) != tokenMagic {
-		return CursorToken{}, fmt.Errorf("core: cursor token has a bad header")
+	if string(raw[:4]) != tokenMagic {
+		return CursorToken{}, errTokenHeader
 	}
-	if got, want := crc32.ChecksumIEEE(raw[:28]), binary.BigEndian.Uint32(raw[28:]); got != want {
-		return CursorToken{}, fmt.Errorf("core: cursor token checksum mismatch (corrupt token)")
+	if got, want := tokenCRC(raw[:28]), binary.BigEndian.Uint32(raw[28:]); got != want {
+		return CursorToken{}, errTokenChecksum
 	}
 	t := CursorToken{
 		Lo:  Key(binary.BigEndian.Uint64(raw[4:])),
@@ -132,9 +167,30 @@ func DecodeCursorToken(s string) (CursorToken, error) {
 		Pos: Key(binary.BigEndian.Uint64(raw[20:])),
 	}
 	if t.Lo > t.Hi || t.Pos < t.Lo || t.Pos > t.Hi {
-		return CursorToken{}, fmt.Errorf("core: cursor token window is inconsistent (lo=%d pos=%d hi=%d)", t.Lo, t.Pos, t.Hi)
+		return CursorToken{}, errTokenWindow
 	}
 	return t, nil
+}
+
+// Page fetches the next page of t's window from src — up to max
+// mappings in ascending key order, delivered through f — and advances
+// t.Pos past it. It reports whether the window is exhausted; on an
+// exhausted token it visits nothing. The token is the whole state of a
+// paginated iteration, so a stateless service pages by decoding a
+// token, calling Page, and encoding the token again.
+func (t *CursorToken) Page(c *Ctx, src Cursor, max int, f func(k Key, v Value) bool) (done bool) {
+	if t.Pos >= t.Hi {
+		return true
+	}
+	next, done := src.CursorNext(c, t.Pos, t.Hi, max, f)
+	if next < t.Pos {
+		next = t.Pos // defend the token invariant against a buggy impl
+	}
+	if next > t.Hi {
+		next = t.Hi
+	}
+	t.Pos = next
+	return done || t.Pos >= t.Hi
 }
 
 // PageCursor is the user-facing pagination handle: a structure, a
@@ -183,18 +239,9 @@ func ResumeCursor(s Set, token string) (*PageCursor, error) {
 // wire token to resume from and whether the iteration is exhausted. A
 // call on an exhausted cursor visits nothing and reports done again.
 func (p *PageCursor) Next(c *Ctx, max int, f func(k Key, v Value) bool) (token string, done bool) {
-	if p.done {
-		return p.tok.Encode(), true
+	if !p.done {
+		p.done = p.tok.Page(c, p.src, max, f)
 	}
-	next, done := p.src.CursorNext(c, p.tok.Pos, p.tok.Hi, max, f)
-	if next < p.tok.Pos {
-		next = p.tok.Pos // defend the token invariant against a buggy impl
-	}
-	if next > p.tok.Hi {
-		next = p.tok.Hi
-	}
-	p.tok.Pos = next
-	p.done = done || p.tok.Pos >= p.tok.Hi
 	return p.tok.Encode(), p.done
 }
 

@@ -289,12 +289,13 @@ func TestClientRetriesDroppedConns(t *testing.T) {
 	}
 }
 
-// TestFaultedConnBothDirections: on a pipelined connection the session
-// goroutine reads the next burst while the write queue's goroutine is
-// still flushing the last one, so both draw conn.* faults at once. Each
-// direction has an injector of its own; sharing one was a data race on
-// its draw counters (run under -race). Every connection here can only
-// end by an injected drop, so the tally must count at least one each.
+// TestFaultedConnBothDirections: on a pipelined connection both
+// directions draw conn.* faults, reads and writes alternating on the one
+// session goroutine. Each direction keeps an injector of its own, so a
+// plan's read-side and write-side schedules stay independent (a
+// read-side fire never shifts which write is torn). Every connection
+// here can only end by an injected drop, so the tally must count at
+// least one each.
 func TestFaultedConnBothDirections(t *testing.T) {
 	srv, addr, shutdown := startServer(t, Config{
 		Spec: "sharded(4,hashtable/lazy)", Size: 256,

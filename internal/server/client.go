@@ -257,14 +257,15 @@ func (c *Client) PipeGet(k core.Key) error {
 // PipeSet buffers one set (pair with RecvStored).
 func (c *Client) PipeSet(k core.Key, v core.Value) error {
 	var num [24]byte
-	data := strconv.AppendInt(num[:0], int64(v), 10)
-	c.bw.WriteString("set ")
-	writeInt(c.bw, int64(k))
-	c.bw.WriteString(" 0 0 ")
-	writeInt(c.bw, int64(len(data)))
-	c.bw.WriteString("\r\n")
-	c.bw.Write(data)
-	_, err := c.bw.WriteString("\r\n")
+	size := len(strconv.AppendInt(num[:0], int64(v), 10))
+	b := append(c.bw.AvailableBuffer(), "set "...)
+	b = strconv.AppendInt(b, int64(k), 10)
+	b = append(b, " 0 0 "...)
+	b = strconv.AppendInt(b, int64(size), 10)
+	b = append(b, '\r', '\n')
+	b = strconv.AppendInt(b, int64(v), 10)
+	b = append(b, '\r', '\n')
+	_, err := c.bw.Write(b)
 	return err
 }
 
@@ -337,7 +338,8 @@ func (c *Client) readValuesCursor(f func(k core.Key, v core.Value)) (token strin
 		case bytes.Equal(line, []byte("END")):
 			return token, done, nil
 		case bytes.HasPrefix(line, []byte("VALUE ")):
-			fields, _ := splitFields(line[len("VALUE "):], 4)
+			var fa [4][]byte
+			fields, _ := splitFields(line[len("VALUE "):], fa[:0])
 			if len(fields) < 3 {
 				return "", false, fmt.Errorf("server: malformed VALUE line %q", line)
 			}
@@ -346,17 +348,20 @@ func (c *Client) readValuesCursor(f func(k core.Key, v core.Value)) (token strin
 			if !okK || !okN || n < 0 || n > maxDataLen {
 				return "", false, fmt.Errorf("server: malformed VALUE line %q", line)
 			}
-			data := make([]byte, n+2)
-			if _, err := readFull(c.br, data); err != nil {
+			// The block is parsed in place in br's buffer, then consumed.
+			data, err := c.br.Peek(int(n) + 2)
+			if err != nil {
 				return "", false, err
 			}
 			v, okV := parseInt(trimCRLF(data))
 			if !okV {
 				return "", false, fmt.Errorf("server: non-numeric data block %q", data)
 			}
+			c.br.Discard(len(data))
 			f(core.Key(k), core.Value(v))
 		case bytes.HasPrefix(line, []byte("CURSOR ")):
-			fields, _ := splitFields(line[len("CURSOR "):], 2)
+			var fa [2][]byte
+			fields, _ := splitFields(line[len("CURSOR "):], fa[:0])
 			if len(fields) != 2 {
 				return "", false, fmt.Errorf("server: malformed CURSOR line %q", line)
 			}
@@ -559,7 +564,8 @@ func (c *Client) statsOnce() (map[string]uint64, error) {
 		if bytes.Equal(line, []byte("END")) {
 			return m, nil
 		}
-		fields, _ := splitFields(line, 3)
+		var fa [3][]byte
+		fields, _ := splitFields(line, fa[:0])
 		if len(fields) != 3 || string(fields[0]) != "STAT" {
 			if isErrorLine(line) {
 				return nil, errorLine(line)
@@ -574,22 +580,8 @@ func (c *Client) statsOnce() (map[string]uint64, error) {
 	}
 }
 
-// writeInt writes a decimal int64 without allocating.
+// writeInt writes a decimal int64 without allocating: the digits are
+// appended in place in bw's free space.
 func writeInt(bw *bufio.Writer, n int64) {
-	var num [24]byte
-	bw.Write(strconv.AppendInt(num[:0], n, 10))
-}
-
-// readFull is io.ReadFull over the client's buffered reader (local so
-// the hot VALUE path avoids the io import dance).
-func readFull(br *bufio.Reader, p []byte) (int, error) {
-	n := 0
-	for n < len(p) {
-		m, err := br.Read(p[n:])
-		n += m
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
+	bw.Write(strconv.AppendInt(bw.AvailableBuffer(), n, 10))
 }

@@ -5,11 +5,11 @@
 // delegate to the real conn, so drain interrupts and idle eviction work
 // unchanged on a faulted connection.
 //
-// Reads run on the session's goroutine and writes on its write queue's,
-// and an Injector is single-goroutine state (draw counters, RNG
-// streams), so each direction draws from an injector of its own: firing
-// stays a pure function of (seed, point, stream, draw index) whatever
-// the interleaving of the two goroutines.
+// Reads and writes both run on the session's goroutine, yet each
+// direction draws from an injector of its own: firing is a pure function
+// of (seed, point, stream, draw index), so separate streams keep a
+// plan's read-side and write-side schedules independent — a read-side
+// fire never shifts which write is torn.
 package server
 
 import (

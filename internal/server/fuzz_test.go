@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"io"
 	"strings"
@@ -31,7 +30,7 @@ func FuzzWireProtocol(f *testing.F) {
 	tok := core.CursorToken{Lo: 1, Hi: 100, Pos: 10}.Encode()
 	f.Add([]byte("range 1 100 8\r\npage " + tok + " 8\r\n"))
 	f.Add([]byte("page " + tok[:len(tok)-2] + "xx 8\r\n"))
-	f.Add([]byte("page AAAAAAAA 8\r\npage " + strings.Repeat("B", maxTokenLen) + " 4\r\n"))
+	f.Add([]byte("page AAAAAAAA 8\r\npage " + strings.Repeat("B", 128) + " 4\r\n"))
 	// Malformed and truncated frames.
 	f.Add([]byte("set 1 0 0 99999\r\n"))
 	f.Add([]byte("set 1 0 0 5\r\nab"))
@@ -53,26 +52,26 @@ func FuzzWireProtocol(f *testing.F) {
 }
 
 // fuzzSession runs one connection worth of input through the real
-// session loop, with the socket replaced by a byte reader and the write
-// queue draining into out — the same machinery serveConn wires up, minus
-// the network.
+// session loop, with the socket's two directions replaced by a byte
+// reader and out — the same machinery serveConn wires up, minus the
+// network.
 func fuzzSession(srv *Server, in []byte, out io.Writer) {
-	th := &stats.Thread{}
-	ctx := &core.Ctx{ID: 1, Rng: xrand.New(1), Stats: th}
+	s := newTestSession(srv, bytes.NewReader(in), out)
+	if s.ctx.Epoch != nil {
+		defer s.ctx.Epoch.Unregister()
+	}
+	s.run()
+}
+
+// newTestSession builds a session the way serveConn does, over r and w
+// in place of a connection. Its EBR record, if any, is the caller's to
+// unregister.
+func newTestSession(srv *Server, r io.Reader, w io.Writer) *session {
+	ctx := &core.Ctx{ID: 1, Rng: xrand.New(1), Stats: &stats.Thread{}}
 	if srv.dom != nil {
 		ctx.Epoch = srv.dom.Register()
-		defer ctx.Epoch.Unregister()
 	}
-	q := newWriteQueue(out, 4)
-	defer q.Close()
-	sess := &session{
-		srv:  srv,
-		ctx:  ctx,
-		br:   bufio.NewReaderSize(bytes.NewReader(in), maxLineLen),
-		q:    q,
-		reqs: make([]Request, srv.cfg.MaxBurst),
-	}
-	sess.run()
+	return newSession(srv, ctx, r, w)
 }
 
 // checkResponseShape asserts every line the server emitted is a legal
@@ -94,7 +93,8 @@ func checkResponseShape(t *testing.T, out []byte) {
 		line = line[:len(line)-1]
 		switch {
 		case bytes.HasPrefix(line, []byte("VALUE ")):
-			fields, bad := splitFields(line[len("VALUE "):], 4)
+			var fa [4][]byte
+			fields, bad := splitFields(line[len("VALUE "):], fa[:0])
 			if bad || len(fields) < 3 {
 				t.Fatalf("malformed VALUE line: %q", line)
 			}
@@ -108,7 +108,8 @@ func checkResponseShape(t *testing.T, out []byte) {
 			}
 			out = out[2:]
 		case bytes.HasPrefix(line, []byte("CURSOR ")):
-			fields, bad := splitFields(line[len("CURSOR "):], 2)
+			var fa [2][]byte
+			fields, bad := splitFields(line[len("CURSOR "):], fa[:0])
 			if bad || len(fields) != 2 {
 				t.Fatalf("malformed CURSOR line: %q", line)
 			}

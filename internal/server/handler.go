@@ -148,9 +148,7 @@ func (s *session) execGetRun(reqs []Request, total int, withCAS bool, buf []byte
 	s.valScratch, s.okScratch = vals, oks
 
 	if s.srv.batcher != nil && len(keys) > 1 {
-		s.srv.batcher.MultiGet(s.ctx, keys, func(i int, v core.Value, ok bool) {
-			vals[i], oks[i] = v, ok
-		})
+		s.srv.batcher.MultiGet(s.ctx, keys, s.onMultiGet)
 	} else {
 		for i, k := range keys {
 			vals[i], oks[i] = s.srv.set.Get(s.ctx, k)
@@ -213,9 +211,10 @@ func (s *session) execDelete(r *Request, buf []byte) []byte {
 	return append(buf, respNotFound...)
 }
 
-// execPage serves one ordered page: range opens a cursor over [Lo, Hi),
-// page resumes one from the opaque token. The response streams the
-// page's VALUE blocks followed by
+// execPage serves one ordered page of r.Cursor's window: a range opened
+// it, a page decoded it from its token (a token that does not decode was
+// answered at parse time). The response streams the page's VALUE blocks
+// followed by
 //
 //	CURSOR <token> <done>\r\nEND\r\n
 //
@@ -224,19 +223,6 @@ func (s *session) execDelete(r *Request, buf []byte) []byte {
 // pins no server state — it survives reconnects, other servers over an
 // equivalent spec, and process restarts (the socket test proves it).
 func (s *session) execPage(r *Request, buf []byte) []byte {
-	var pc *core.PageCursor
-	var err error
-	if r.Op == OpRange {
-		pc, err = core.OpenCursor(s.srv.set, r.Lo, r.Hi)
-	} else {
-		pc, err = core.ResumeCursor(s.srv.set, r.Token)
-	}
-	if err != nil {
-		// Corrupt or foreign tokens error in DecodeCursorToken — a
-		// client mistake, never a server fault or a silently wrong page.
-		buf = append(buf, "CLIENT_ERROR bad cursor token\r\n"...)
-		return buf
-	}
 	// Pages shed before point ops: under degradation the long-bracket
 	// requests are the first load dropped (they pin an epoch bracket and
 	// a response buffer for the whole page).
@@ -244,20 +230,17 @@ func (s *session) execPage(r *Request, buf []byte) []byte {
 		s.srv.audit.shed.Add(1)
 		return append(buf, respBusy...)
 	}
-	keys := 0
+	s.page, s.pageKeys = buf, 0
 	pageStart := time.Now()
-	token, done := pc.Next(s.ctx, r.Max, func(k core.Key, v core.Value) bool {
-		keys++
-		buf = appendValue(buf, k, v, false)
-		return true
-	})
+	done := r.Cursor.Page(s.ctx, s.srv.cursor, r.Max, s.onPage)
 	s.srv.release()
-	s.ctx.Stats.RecordPage(keys, uint64(time.Since(pageStart)))
+	buf = s.page
+	s.ctx.Stats.RecordPage(s.pageKeys, uint64(time.Since(pageStart)))
 	if done {
 		s.ctx.Stats.RecordCursorScan()
 	}
 	buf = append(buf, "CURSOR "...)
-	buf = append(buf, token...)
+	buf = r.Cursor.AppendEncode(buf)
 	if done {
 		buf = append(buf, " 1\r\n"...)
 	} else {

@@ -11,11 +11,17 @@
 //	            bursts ride one core.Batcher MultiGet (and with it the
 //	            shard flat-combining path), range/page stream ordered
 //	            pages and return the opaque resumable cursor token;
-//	server.go   connection machinery: bounded per-connection write
-//	            queues (backpressure), a global in-flight limit that
-//	            sheds load with SERVER_ERROR busy, and graceful drain
-//	            that flushes in-flight responses, unregisters every
-//	            connection's EBR record and quiesces the domain.
+//	server.go   connection machinery: one goroutine per connection
+//	            that writes each burst's responses before it reads the
+//	            next (TCP's own backpressure), a global in-flight limit
+//	            that sheds load with SERVER_ERROR busy, and graceful
+//	            drain that flushes in-flight responses, unregisters
+//	            every connection's EBR record and quiesces the domain.
+//
+// The request path allocates nothing per request: the parser fills
+// fixed arrays and reads data blocks in place from the reader's buffer,
+// cursor tokens decode straight from the line, and responses render into
+// one buffer per connection.
 //
 // The dialect: keys and values are the module's 64-bit integers, written
 // in decimal (the paper's workloads; larger payloads are "a pointer",
@@ -48,9 +54,6 @@ const (
 	maxDataLen = 20
 	// maxPageMax bounds the page budget of one range/page request.
 	maxPageMax = 4096
-	// maxTokenLen bounds the cursor-token operand (the real token is 48
-	// bytes; anything longer is corrupt by construction).
-	maxTokenLen = 128
 )
 
 // Op enumerates the request kinds of the dialect.
@@ -66,10 +69,10 @@ const (
 	OpSet
 	// OpDelete removes Keys[0].
 	OpDelete
-	// OpRange opens a cursor over [Lo, Hi) and returns the first page of
+	// OpRange opens a cursor over [lo, hi) and returns the first page of
 	// at most Max mappings plus the resume token.
 	OpRange
-	// OpPage resumes a cursor from Token and returns the next page.
+	// OpPage resumes a cursor from a token and returns the next page.
 	OpPage
 	// OpStats reports the server's audit counters.
 	OpStats
@@ -82,15 +85,17 @@ const (
 // Request is one parsed client request. The Keys slice is reused across
 // ReadRequest calls on the same Request value.
 type Request struct {
-	Op      Op
-	Keys    []core.Key // get/gets/mget/delete key list
-	SetKey  core.Key   // set
-	SetVal  core.Value // set
-	Lo, Hi  core.Key   // range window
-	Max     int        // range/page budget
-	Token   string     // page resume token
-	NoReply bool       // set/delete noreply: suppress the response
-	WithCAS bool       // gets: include the cas column
+	Op     Op
+	Keys   []core.Key // get/gets/mget/delete key list
+	SetKey core.Key   // set
+	SetVal core.Value // set
+	// Cursor is the range/page iteration: the window and the position
+	// the page starts from (a range opens it, a page decodes it from its
+	// token operand).
+	Cursor  core.CursorToken
+	Max     int  // range/page budget
+	NoReply bool // set/delete noreply: suppress the response
+	WithCAS bool // gets: include the cas column
 	Err     *ProtoError
 }
 
@@ -105,6 +110,10 @@ type ProtoError struct {
 }
 
 func (e *ProtoError) Error() string { return e.Line }
+
+// errBadToken answers a page whose token does not decode: a client
+// mistake, never a server fault or a silently wrong page.
+var errBadToken = &ProtoError{Line: "CLIENT_ERROR bad cursor token"}
 
 // protoErrf builds a recoverable CLIENT_ERROR.
 func protoErrf(format string, args ...any) *ProtoError {
@@ -180,7 +189,8 @@ func ReadRequest(br *bufio.Reader, req *Request) error {
 
 	case "set", "add":
 		// set <key> <flags> <exptime> <bytes> [noreply]\r\n<data>\r\n
-		fields, bad := splitFields(rest, 5)
+		var fa [5][]byte
+		fields, bad := splitFields(rest, fa[:0])
 		if bad || len(fields) < 4 {
 			req.Err = protoErrf("bad %s line: want <key> <flags> <exptime> <bytes> [noreply]", cmd)
 			return nil
@@ -204,34 +214,31 @@ func ReadRequest(br *bufio.Reader, req *Request) error {
 			req.Err = fatalErrf("data block of %d bytes exceeds %d", n, maxDataLen)
 			return nil
 		}
-		data := make([]byte, n+2)
-		if _, err := io.ReadFull(br, data); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
+		// The block is parsed in place in br's buffer (n+2 <= maxDataLen+2
+		// bytes, far below its size) and consumed only once framed.
+		data, err := br.Peek(int(n) + 2)
+		if err != nil {
+			if err == io.EOF {
 				req.Err = fatalErrf("truncated data block")
 				return nil
 			}
 			return err
 		}
-		term := data[n:]
-		if !(term[0] == '\r' && term[1] == '\n') && !(term[0] == '\n') {
-			// A lone \n terminator means byte n+1 belongs to the next
-			// command; only the strict CRLF keeps the framing exact, but
-			// accepting \n\r? would mis-split. Treat precisely: CRLF ok;
-			// "X\n" where X is the last data byte is only ok when the
-			// declared count matched. Anything else lost the framing.
+		framed := len(data)
+		switch {
+		case data[n] == '\r' && data[n+1] == '\n':
+		case data[n] == '\n':
+			// A bare \n after exactly n bytes also frames the block; the
+			// byte after it already belongs to the next command.
+			framed--
+		default:
+			// Anything else lost the framing: the declared count and the
+			// bytes on the wire disagree.
 			req.Err = fatalErrf("bad data chunk terminator")
 			return nil
 		}
-		if term[0] == '\n' {
-			// Data was terminated by a bare \n after n bytes, meaning we
-			// consumed one byte of the next line; push it back.
-			if err := br.UnreadByte(); err != nil {
-				req.Err = fatalErrf("bad data chunk terminator")
-				return nil
-			}
-			data = data[:n+1]
-		}
-		v, okV := parseInt(trimCRLF(data))
+		v, okV := parseInt(data[:n])
+		br.Discard(framed)
 		if !okK || !okV {
 			if !okK {
 				req.Err = protoErrf("bad key %q", fields[0])
@@ -246,7 +253,8 @@ func ReadRequest(br *bufio.Reader, req *Request) error {
 		return nil
 
 	case "delete":
-		fields, bad := splitFields(rest, 2)
+		var fa [2][]byte
+		fields, bad := splitFields(rest, fa[:0])
 		if bad || len(fields) < 1 {
 			req.Err = protoErrf("bad delete line: want <key> [noreply]")
 			return nil
@@ -269,7 +277,8 @@ func ReadRequest(br *bufio.Reader, req *Request) error {
 
 	case "range":
 		// range <lo> <hi> <max>: first page of the window [lo, hi).
-		fields, bad := splitFields(rest, 3)
+		var fa [3][]byte
+		fields, bad := splitFields(rest, fa[:0])
 		if bad || len(fields) != 3 {
 			req.Err = protoErrf("bad range line: want <lo> <hi> <max>")
 			return nil
@@ -286,18 +295,19 @@ func ReadRequest(br *bufio.Reader, req *Request) error {
 			return nil
 		}
 		req.Op = OpRange
-		req.Lo, req.Hi, req.Max = core.Key(lo), core.Key(hi), int(max)
+		if hi < lo {
+			hi = lo // opens exhausted, as core.OpenCursor does
+		}
+		req.Cursor = core.CursorToken{Lo: core.Key(lo), Hi: core.Key(hi), Pos: core.Key(lo)}
+		req.Max = int(max)
 		return nil
 
 	case "page":
 		// page <token> <max>: resume from an opaque cursor token.
-		fields, bad := splitFields(rest, 2)
+		var fa [2][]byte
+		fields, bad := splitFields(rest, fa[:0])
 		if bad || len(fields) != 2 {
 			req.Err = protoErrf("bad page line: want <token> <max>")
-			return nil
-		}
-		if len(fields[0]) > maxTokenLen {
-			req.Err = protoErrf("cursor token longer than %d bytes", maxTokenLen)
 			return nil
 		}
 		max, okM := parseInt(fields[1])
@@ -305,9 +315,13 @@ func ReadRequest(br *bufio.Reader, req *Request) error {
 			req.Err = protoErrf("page budget must be in [1, %d]", maxPageMax)
 			return nil
 		}
+		tok, err := core.DecodeCursorTokenBytes(fields[0])
+		if err != nil {
+			req.Err = errBadToken
+			return nil
+		}
 		req.Op = OpPage
-		req.Token = string(fields[0])
-		req.Max = int(max)
+		req.Cursor, req.Max = tok, int(max)
 		return nil
 
 	case "stats":
@@ -348,11 +362,12 @@ func nextField(b []byte) (field, rest []byte) {
 	return b[i:j], b[j:]
 }
 
-// splitFields splits b into at most max space-separated fields; bad
-// reports leftover fields beyond max (a malformed line, not a truncation
-// point).
-func splitFields(b []byte, max int) (fields [][]byte, bad bool) {
-	for len(fields) < max {
+// splitFields appends b's space-separated fields to fields, up to its
+// capacity — callers pass a fixed array's [:0], so nothing is allocated;
+// bad reports leftover fields beyond it (a malformed line, not a
+// truncation point).
+func splitFields(b []byte, fields [][]byte) (_ [][]byte, bad bool) {
+	for len(fields) < cap(fields) {
 		f, r := nextField(b)
 		if len(f) == 0 {
 			return fields, false

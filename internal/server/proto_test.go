@@ -61,12 +61,23 @@ func TestParseSetBareLFKeepsFraming(t *testing.T) {
 
 func TestParseRangePageDeleteMisc(t *testing.T) {
 	req := parseOne(t, "range 10 500 64\r\n")
-	if req.Op != OpRange || req.Lo != 10 || req.Hi != 500 || req.Max != 64 {
+	if req.Op != OpRange || req.Cursor != (core.CursorToken{Lo: 10, Hi: 500, Pos: 10}) || req.Max != 64 {
 		t.Fatalf("range: %+v", req)
 	}
-	req = parseOne(t, "page sometoken 32\r\n")
-	if req.Op != OpPage || req.Token != "sometoken" || req.Max != 32 {
+	// A window with hi below lo opens exhausted.
+	if req = parseOne(t, "range 10 5 1\r\n"); req.Cursor != (core.CursorToken{Lo: 10, Hi: 10, Pos: 10}) {
+		t.Fatalf("reversed range: %+v", req)
+	}
+	// A page decodes its token at parse time into the window it resumes.
+	tok := core.CursorToken{Lo: -7, Hi: 900, Pos: 41}
+	req = parseOne(t, "page "+tok.Encode()+" 32\r\n")
+	if req.Op != OpPage || req.Cursor != tok || req.Max != 32 {
 		t.Fatalf("page: %+v", req)
+	}
+	// A corrupt token is a recoverable client error, answered in order.
+	req = parseOne(t, "page sometoken 32\r\n")
+	if req.Op != OpError || req.Err == nil || req.Err.Line != "CLIENT_ERROR bad cursor token" || req.Err.Fatal {
+		t.Fatalf("corrupt page: %+v", req)
 	}
 	req = parseOne(t, "delete 12 noreply\r\n")
 	if req.Op != OpDelete || req.Keys[0] != 12 || !req.NoReply {
@@ -109,7 +120,7 @@ func TestParseErrors(t *testing.T) {
 		{"range 1 2 0\r\n", "CLIENT_ERROR", false},
 		{"range 1 2 1000000\r\n", "CLIENT_ERROR", false},
 		{"page tok 0\r\n", "CLIENT_ERROR", false},
-		{"page " + strings.Repeat("A", maxTokenLen+1) + " 5\r\n", "CLIENT_ERROR", false},
+		{"page " + strings.Repeat("A", 129) + " 5\r\n", "CLIENT_ERROR", false},
 		{"get 1 2 extra..", "CLIENT_ERROR", true}, // no newline before EOF
 	}
 	for _, c := range cases {

@@ -1,6 +1,6 @@
 // Connection machinery: the Server owns one structure instance built
-// from a composite spec, an accept loop, per-connection worker
-// goroutines with bounded write queues, a global in-flight limit, and
+// from a composite spec, an accept loop, one goroutine per connection
+// that reads, executes and writes in turn, a global in-flight limit, and
 // the graceful drain protocol.
 package server
 
@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,9 +41,10 @@ type Config struct {
 	// connections; excess load is shed with SERVER_ERROR busy instead of
 	// queueing without bound. 0 defaults to 128; negative means no limit.
 	MaxInflight int
-	// WriteQueue bounds each connection's queued response buffers; a
-	// full queue blocks that connection's read loop (backpressure to the
-	// socket) instead of buffering without bound. 0 defaults to 32.
+	// WriteQueue is ignored. A connection writes each burst's responses
+	// before it reads the next, so a client that stops reading blocks
+	// only its own connection, in its write, and nothing is queued. The
+	// field stays so existing configurations still compile.
 	WriteQueue int
 	// MaxBurst bounds how many pipelined requests one read-loop turn
 	// parses and answers with a single write; get runs inside a burst
@@ -77,9 +79,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxInflight == 0 {
 		c.MaxInflight = 128
 	}
-	if c.WriteQueue <= 0 {
-		c.WriteQueue = 32
-	}
 	if c.MaxBurst <= 0 {
 		c.MaxBurst = 64
 	}
@@ -109,7 +108,8 @@ type Server struct {
 	cfg      Config
 	set      core.Set
 	batcher  core.Batcher // nil when the spec's structure cannot batch
-	dom      *ebr.Domain  // nil without EBR
+	cursor   core.Cursor
+	dom      *ebr.Domain // nil without EBR
 	inflight chan struct{}
 	tally    *fault.Tally // nil without a fault plan
 
@@ -162,7 +162,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.set = set
 	s.batcher, _ = set.(core.Batcher)
-	if _, ok := set.(core.Cursor); !ok {
+	var ok bool
+	if s.cursor, ok = set.(core.Cursor); !ok {
 		return nil, fmt.Errorf("server: spec %q does not implement core.Cursor (range/page need it)", cfg.Spec)
 	}
 	if cfg.MaxInflight > 0 {
@@ -307,14 +308,19 @@ func (s *Server) Serve(l net.Listener) error {
 			}
 			return fmt.Errorf("server: accept: %w", err)
 		}
+		// The drain check, the insert and the Add share mu with Shutdown's
+		// deadline sweep: either Shutdown finds this conn in the map (and
+		// its Wait counts it), or this check finds the drain and refuses
+		// the conn.
+		s.mu.Lock()
 		if s.draining.Load() {
+			s.mu.Unlock()
 			nc.Close()
 			continue
 		}
-		s.mu.Lock()
 		s.conns[nc] = struct{}{}
-		s.mu.Unlock()
 		s.wg.Add(1)
+		s.mu.Unlock()
 		go s.serveConn(nc)
 	}
 }
@@ -328,33 +334,67 @@ func (s *Server) ListenAndServe(addr string) error {
 	return s.Serve(l)
 }
 
+// maxKeptOut caps the response buffer a session keeps between bursts:
+// one grown past it (a 4 096-value page is about 140 KiB) is dropped
+// after its write rather than pinned to an idle connection.
+const maxKeptOut = 64 << 10
+
 // session is one connection's execution state: the per-worker context
 // (own RNG stream, stats slot, EBR record), the parsed-request burst
-// buffer, and the merged-batch scratch. It reads from br and enqueues
-// response buffers on q; it never touches the socket directly, which is
-// what lets the fuzzer and the protocol tests drive it over byte
-// readers.
+// buffer, the response buffer, and the merged-batch scratch. It reads
+// from br and writes to w; it never touches the socket otherwise, which
+// is what lets the fuzzer and the protocol tests drive it over byte
+// readers and writers.
 type session struct {
 	srv        *Server
 	ctx        *core.Ctx
 	br         *bufio.Reader
-	q          *writeQueue
+	w          io.Writer
 	nc         net.Conn        // nil when driven over plain readers (tests, fuzzer)
 	inj        *fault.Injector // nil without a fault plan; methods are nil-safe
 	reqs       []Request
+	out        []byte // the burst's responses, kept across bursts
 	keyScratch []core.Key
 	valScratch []core.Value
 	okScratch  []bool
+
+	// The structure callbacks, bound once per session so a request
+	// passes them without building a closure. A page renders into page
+	// (the burst's buffer, lent for the call) and counts into pageKeys.
+	onMultiGet func(i int, v core.Value, ok bool)
+	onPage     func(k core.Key, v core.Value) bool
+	page       []byte
+	pageKeys   int
+}
+
+// newSession builds a session reading r and writing w.
+func newSession(srv *Server, ctx *core.Ctx, r io.Reader, w io.Writer) *session {
+	s := &session{
+		srv:  srv,
+		ctx:  ctx,
+		br:   bufio.NewReaderSize(r, maxLineLen),
+		w:    w,
+		reqs: make([]Request, srv.cfg.MaxBurst),
+	}
+	s.onMultiGet = func(i int, v core.Value, ok bool) {
+		s.valScratch[i], s.okScratch[i] = v, ok
+	}
+	s.onPage = func(k core.Key, v core.Value) bool {
+		s.pageKeys++
+		s.page = appendValue(s.page, k, v, false)
+		return true
+	}
+	return s
 }
 
 // serveConn runs one connection to completion. The deferred block is
-// the robustness contract of the satellite bugfix: whatever happens in
-// the handler — a clean quit, a protocol error, an io error, or a panic
-// — the EBR record is unregistered (mid-bracket included; Unregister
-// force-exits the bracket) so a dying worker can never wedge epoch
-// advancement for the whole domain, the write queue is flushed so every
-// response already produced still reaches the client, and the worker's
-// metrics fold into the audit aggregate.
+// the robustness contract: whatever happens in the handler — a clean
+// quit, a protocol error, an io error, or a panic — the EBR record is
+// unregistered (mid-bracket included; Unregister force-exits the
+// bracket) so a dying worker can never wedge epoch advancement for the
+// whole domain, and the worker's metrics fold into the audit aggregate.
+// Every burst before the one that ended the session was written before
+// the next was read, so no produced response is left behind.
 func (s *Server) serveConn(nc net.Conn) {
 	th := &stats.Thread{}
 	id := s.nextID.Add(1)
@@ -374,7 +414,6 @@ func (s *Server) serveConn(nc net.Conn) {
 		s.cfg.Fault.Enabled(fault.ConnTorn) || s.cfg.Fault.Enabled(fault.ConnDrop)) {
 		rw = &faultConn{Conn: nc, rd: inj, wr: fault.NewInjector(s.cfg.Fault, uint64(id)+writeStream, s.tally)}
 	}
-	q := newWriteQueue(rw, s.cfg.WriteQueue)
 	defer func() {
 		if r := recover(); r != nil {
 			s.logf("server: panic in connection handler: %v", r)
@@ -382,7 +421,6 @@ func (s *Server) serveConn(nc net.Conn) {
 		if ctx.Epoch != nil {
 			ctx.Epoch.Unregister()
 		}
-		q.Close() // flush everything enqueued, then stop the writer
 		nc.Close()
 		s.mu.Lock()
 		delete(s.conns, nc)
@@ -390,24 +428,18 @@ func (s *Server) serveConn(nc net.Conn) {
 		s.mergeAudit(th)
 		s.wg.Done()
 	}()
-	sess := &session{
-		srv:  s,
-		ctx:  ctx,
-		br:   bufio.NewReaderSize(rw, maxLineLen),
-		q:    q,
-		nc:   nc,
-		inj:  inj,
-		reqs: make([]Request, s.cfg.MaxBurst),
-	}
+	sess := newSession(s, ctx, rw, rw)
+	sess.nc, sess.inj = nc, inj
 	sess.run()
 }
 
-// run is the read/execute/write loop: block on one request, opportunistically
-// drain the rest of the pipeline burst that is already buffered, execute
-// the burst, enqueue one response buffer. Bounded on every axis — burst
-// length, merged keys, queue depth — so a fast pipelining client is
-// amortized and a slow reading client is back-pressured, never buffered
-// without limit.
+// run is the read/execute/write loop: block on one request,
+// opportunistically drain the rest of the pipeline burst that is already
+// buffered, execute the burst into one response buffer, and write it
+// before reading again. Bounded on every axis — burst length, merged
+// keys, one buffer — so a fast pipelining client is amortized and a
+// slow reading client is back-pressured by TCP itself: its session
+// blocks in Write, and stops reading its socket, until the client reads.
 func (s *session) run() {
 	for {
 		if s.srv.draining.Load() {
@@ -415,17 +447,20 @@ func (s *session) run() {
 		}
 		if s.nc != nil && s.srv.cfg.IdleTimeout > 0 {
 			// Armed per blocking read, cleared implicitly by the next arm:
-			// a client that neither sends a request nor drains its
-			// responses (the write queue backpressures into this read
-			// staying blocked) within the window is evicted.
+			// a client that sends no request within the window is evicted.
 			s.nc.SetReadDeadline(time.Now().Add(s.srv.cfg.IdleTimeout))
+			// A Shutdown between the check above and the arm had its
+			// immediate deadline overwritten; the drain flag it set first
+			// is visible now.
+			if s.srv.draining.Load() {
+				return
+			}
 		}
 		if err := ReadRequest(s.br, &s.reqs[0]); err != nil {
 			// io.EOF is the clean end; drain interrupts surface as read
 			// deadline errors; everything else is a dead peer. An idle
 			// deadline outside drain is an eviction and is counted.
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() && !s.srv.draining.Load() {
+			if errors.Is(err, os.ErrDeadlineExceeded) && !s.srv.draining.Load() {
 				s.srv.audit.evictions.Add(1)
 				s.srv.logf("server: evicting idle connection (no read progress in %v)", s.srv.cfg.IdleTimeout)
 			}
@@ -441,12 +476,16 @@ func (s *session) run() {
 			}
 			n++
 		}
-		buf, closeAfter := s.execBurst(s.reqs[:n], getBuf())
-		if len(buf) > 0 {
-			s.q.Enqueue(buf) // blocks when the queue is full: backpressure
-		} else {
-			putBuf(buf)
+		out, closeAfter := s.execBurst(s.reqs[:n], s.out[:0])
+		if len(out) > 0 {
+			if _, err := s.w.Write(out); err != nil {
+				return // peer gone
+			}
 		}
+		if cap(out) > maxKeptOut {
+			out = nil
+		}
+		s.out = out
 		if closeAfter {
 			return
 		}
@@ -520,8 +559,8 @@ func (s *Server) Audit() Audit { return s.auditSnapshot() }
 
 // Shutdown gracefully drains the server: stop accepting, interrupt every
 // connection's blocked read (in-flight bursts still execute and their
-// responses still flush — the write queues close only after their
-// connection's loop exits), wait for all workers, then quiesce the
+// responses are still written before the connection's loop looks at the
+// drain again), wait for all workers, then quiesce the
 // reclamation domain so every retired node is reclaimed. It returns
 // ctx's error if the drain outlives it, and an error if the domain
 // cannot quiesce.
@@ -567,47 +606,3 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	return nil
 }
-
-// writeQueue is the bounded per-connection response pipe: the read loop
-// enqueues finished response buffers, a dedicated writer goroutine
-// drains them to the socket. A full queue blocks Enqueue — that stalls
-// the connection's read loop, which stops consuming the socket, which
-// backpressures the client through TCP; memory per connection stays
-// bounded by depth × buffer. Close flushes everything already enqueued
-// before the writer exits, so a drain never drops a produced response.
-type writeQueue struct {
-	ch   chan []byte
-	done chan struct{}
-}
-
-func newWriteQueue(w io.Writer, depth int) *writeQueue {
-	q := &writeQueue{ch: make(chan []byte, depth), done: make(chan struct{})}
-	go func() {
-		defer close(q.done)
-		for buf := range q.ch {
-			if w != nil {
-				if _, err := w.Write(buf); err != nil {
-					w = nil // peer gone: keep draining so Enqueue never sticks
-				}
-			}
-			putBuf(buf)
-		}
-	}()
-	return q
-}
-
-// Enqueue hands one response buffer to the writer (ownership moves; the
-// writer returns it to the pool).
-func (q *writeQueue) Enqueue(buf []byte) { q.ch <- buf }
-
-// Close stops the writer after the queued responses are written.
-func (q *writeQueue) Close() {
-	close(q.ch)
-	<-q.done
-}
-
-// bufPool recycles response buffers across bursts and connections.
-var bufPool = sync.Pool{New: func() any { return make([]byte, 0, 2048) }}
-
-func getBuf() []byte  { return bufPool.Get().([]byte)[:0] }
-func putBuf(b []byte) { bufPool.Put(b[:0]) }

@@ -1,8 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"io"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -271,47 +275,48 @@ func TestGracefulDrainFlushesInflight(t *testing.T) {
 }
 
 // TestWriteQueueFlushOnClose pins the no-lost-responses half of the
-// drain contract at its enforcement point: every buffer enqueued before
-// Close must be written, in order, before the writer exits — a draining
-// connection closes its queue only after the read loop stops, so any
-// response the handler produced still reaches the socket.
+// drain contract at its enforcement point: a session writes each burst's
+// responses before it reads the next, so by the time run returns every
+// response it produced has been written, in request order — however slow
+// the writer — and nothing is answered after quit.
 func TestWriteQueueFlushOnClose(t *testing.T) {
-	var out slowWriter
-	q := newWriteQueue(&out, 4)
-	const n = 100
-	want := 0
-	for i := 0; i < n; i++ {
-		buf := getBuf()
-		buf = append(buf, byte('a'+i%26))
-		want++
-		q.Enqueue(buf)
+	srv, err := New(Config{Spec: "sharded(4,hashtable/lazy)", Size: 256, MaxBurst: 8})
+	if err != nil {
+		t.Fatal(err)
 	}
-	q.Close() // must block until all n buffers are written
-	if got := out.Len(); got != want {
-		t.Fatalf("writer flushed %d bytes, want %d", got, want)
+	c := core.NewCtx(0)
+	const n = 100
+	var in, want strings.Builder
+	for i := 0; i < n; i++ {
+		srv.Set().Put(c, core.Key(i), core.Value(i))
+		fmt.Fprintf(&in, "get %d\r\n", i)
+		fmt.Fprintf(&want, "VALUE %d 0 %d\r\n%d\r\nEND\r\n", i, len(fmt.Sprint(i)), i)
+	}
+	in.WriteString("quit\r\nget 0\r\n")
+	var out slowWriter
+	newTestSession(srv, strings.NewReader(in.String()), &out).run()
+	if got := out.String(); got != want.String() {
+		t.Fatalf("session wrote %d bytes, want %d in order:\n%q", len(got), want.Len(), got)
+	}
+	if out.writes < n/srv.cfg.MaxBurst {
+		t.Fatalf("%d writes for %d requests in bursts of %d", out.writes, n, srv.cfg.MaxBurst)
 	}
 }
 
-// slowWriter makes every write yield so Close genuinely races the
-// writer goroutine rather than finding an already-empty queue.
+// slowWriter makes every write yield, so a response that was handed off
+// rather than written would still be missing when run returns.
 type slowWriter struct {
-	mu sync.Mutex
-	n  int
+	buf    bytes.Buffer
+	writes int
 }
 
 func (w *slowWriter) Write(p []byte) (int, error) {
 	time.Sleep(100 * time.Microsecond)
-	w.mu.Lock()
-	w.n += len(p)
-	w.mu.Unlock()
-	return len(p), nil
+	w.writes++
+	return w.buf.Write(p)
 }
 
-func (w *slowWriter) Len() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.n
-}
+func (w *slowWriter) String() string { return w.buf.String() }
 
 // TestBusyShedding: with the in-flight limit saturated, requests answer
 // SERVER_ERROR busy instead of queueing, and the audit counts the sheds.
@@ -419,5 +424,107 @@ func TestServeAfterShutdown(t *testing.T) {
 	}
 	if _, err := l.Accept(); err == nil {
 		t.Fatal("Serve returned without closing its listener")
+	}
+}
+
+// TestDrainBeatsIdleRearm pins the session's re-check of the drain flag
+// after it arms its idle deadline. A Shutdown that lands between the
+// loop's drain check and the arm has its immediate read deadline
+// overwritten by the idle one; without the re-check the session then
+// blocks in Read for the whole idle window and the drain waits it out.
+// The scripted conn makes that interleaving certain: arming the deadline
+// is what raises the drain flag.
+func TestDrainBeatsIdleRearm(t *testing.T) {
+	srv, err := New(Config{Spec: "hashtable/lazy", Size: 64, IdleTimeout: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc := &scriptedConn{srv: srv, closed: make(chan struct{})}
+	defer close(nc.closed)
+	s := newTestSession(srv, nc, io.Discard)
+	s.nc = nc
+	done := make(chan struct{})
+	go func() {
+		s.run()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("session armed its idle deadline over the drain's and kept reading")
+	}
+}
+
+// scriptedConn stands in for a connection Shutdown is draining: its
+// SetReadDeadline raises the server's drain flag (the Shutdown landing
+// just before the arm), and Read blocks until the armed deadline passes,
+// as a real conn's would.
+type scriptedConn struct {
+	net.Conn
+	srv      *Server
+	deadline time.Time
+	closed   chan struct{}
+}
+
+func (c *scriptedConn) SetReadDeadline(t time.Time) error {
+	c.srv.draining.Store(true)
+	c.deadline = t
+	return nil
+}
+
+func (c *scriptedConn) Read([]byte) (int, error) {
+	select {
+	case <-time.After(time.Until(c.deadline)):
+		return 0, os.ErrDeadlineExceeded
+	case <-c.closed:
+		return 0, net.ErrClosed
+	}
+}
+
+// TestSlowReaderStallsOnlyItsSession: backpressure is per connection. A
+// client that pipelines megabytes of requests and never reads its
+// responses blocks its own session in Write, and nothing else — another
+// connection is still answered promptly — and once the stuck client
+// goes away its session ends and the drain completes.
+func TestSlowReaderStallsOnlyItsSession(t *testing.T) {
+	srv, addr, shutdown := startServer(t, Config{Spec: "sharded(4,hashtable/lazy)", Size: 256, UseEBR: true})
+	srv.Set().Put(core.NewCtx(0), 1, 1<<62) // a 19-digit value: ~40 response bytes per 7-byte get
+
+	stuck, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flood := bytes.Repeat([]byte("get 1\r\n"), 4<<20/7)
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := stuck.Write(flood) // blocks once the server stops reading
+		wrote <- err
+	}()
+
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Policy = RetryPolicy{OpDeadline: time.Second}
+	time.Sleep(50 * time.Millisecond) // let the flood fill the stuck session's socket
+	if v, ok, err := c.Get(1); err != nil || !ok || v != 1<<62 {
+		t.Fatalf("Get beside a stuck reader = (%v, %v, %v), want an answer within 1s", v, ok, err)
+	}
+	if stored, err := c.Set(2, 2); err != nil || !stored {
+		t.Fatalf("Set beside a stuck reader = (%v, %v)", stored, err)
+	}
+	if deleted, err := c.Delete(2); err != nil || !deleted {
+		t.Fatalf("Delete beside a stuck reader = (%v, %v)", deleted, err)
+	}
+	c.Close()
+
+	stuck.Close()
+	<-wrote
+	if err := shutdown(); err != nil {
+		t.Fatalf("shutdown after the stuck reader closed: %v", err)
+	}
+	if a := srv.Audit(); a.Retired != a.Reclaimed {
+		t.Fatalf("drain left retired %d != reclaimed %d", a.Retired, a.Reclaimed)
 	}
 }
