@@ -1,8 +1,21 @@
+// Ablation benchmarks for the design choices DESIGN.md §5 calls out,
+// and the cell helpers the root benchmarks share. The paper's figures
+// and tables are not benchmarks: cmd/figures declares and prints them.
+//
+// Reported custom metrics:
+//
+//	Mops/s       system throughput (millions of operations per second)
+//	waitfrac     fraction of time spent waiting for locks
+//	restartfrac  fraction of operations restarted >= once
+//	restart3frac fraction restarted more than three times
+//	fallbackfrac critical sections falling back to locks
+//	thrstddev    per-thread throughput stddev / mean
 package csds
 
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"csds/internal/birthday"
 	"csds/internal/harness"
@@ -10,7 +23,51 @@ import (
 	"csds/internal/workload"
 )
 
-// Ablation benchmarks for the design choices DESIGN.md §5 calls out.
+// benchDur is the measurement window per harness run inside benchmarks
+// (the paper uses 5 s; CI budgets need less — cmd/figures exposes -dur).
+const benchDur = 25 * time.Millisecond
+
+// benchCell runs cfg once per b.N (for benchDur unless cfg sets a
+// window), reports the last run's metrics and returns that run.
+func benchCell(b *testing.B, cfg harness.Config) harness.Result {
+	b.Helper()
+	if cfg.Duration == 0 {
+		cfg.Duration = benchDur
+	}
+	var res harness.Result
+	for i := 0; i < b.N; i++ {
+		r, err := harness.Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res = r
+	}
+	report(b, res)
+	return res
+}
+
+func report(b *testing.B, res harness.Result) {
+	b.ReportMetric(res.Throughput/1e6, "Mops/s")
+	b.ReportMetric(res.WaitFraction, "waitfrac")
+	b.ReportMetric(res.RestartedFrac, "restartfrac")
+	b.ReportMetric(res.RestartedFrac3, "restart3frac")
+	if res.PerThreadMean > 0 {
+		b.ReportMetric(res.PerThreadStddev/res.PerThreadMean, "thrstddev")
+	}
+	if res.FallbackFrac > 0 {
+		b.ReportMetric(res.FallbackFrac, "fallbackfrac")
+	}
+}
+
+func reportSim(b *testing.B, res sim.Result) {
+	b.ReportMetric(res.ThroughputOpsPerSec/1e6, "Mops/s")
+	b.ReportMetric(res.WaitFraction, "waitfrac")
+	b.ReportMetric(res.RestartedFrac, "restartfrac")
+	b.ReportMetric(res.RestartedFrac3, "restart3frac")
+	if res.FallbackFrac > 0 {
+		b.ReportMetric(res.FallbackFrac, "fallbackfrac")
+	}
+}
 
 // BenchmarkAblationLocks compares lock algorithms on the same featured
 // structure workloads, testing the paper's §3.2 claim that simple locks
@@ -84,22 +141,10 @@ func BenchmarkAblationPhaseRatio(b *testing.B) {
 func BenchmarkAblationEBR(b *testing.B) {
 	for _, ebrOn := range []bool{false, true} {
 		b.Run(fmt.Sprintf("ebr=%v", ebrOn), func(b *testing.B) {
-			cfg := harness.Config{
+			res := benchCell(b, harness.Config{
 				Algorithm: "list/lazy", Threads: 8, UseEBR: ebrOn,
 				Workload: workload.Config{Size: 512, UpdateRatio: 0.5},
-			}
-			if cfg.Duration == 0 {
-				cfg.Duration = benchDur
-			}
-			var res harness.Result
-			for i := 0; i < b.N; i++ {
-				r, err := harness.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res = r
-			}
-			report(b, res)
+			})
 			b.ReportMetric(float64(res.Retired), "retired")
 			b.ReportMetric(float64(res.Reclaimed), "reclaimed")
 			b.ReportMetric(res.PoolHitFrac, "poolhitfrac")

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,10 +23,10 @@ func TestPaperCellsFire(t *testing.T) {
 		cfg  harness.Config
 		pt   fault.Point
 	}{
-		{"fig9/list/lazy", fig9Config("list/lazy"), fault.CSDelay},
-		{"fig9/hashtable/lazy", fig9Config("hashtable/lazy"), fault.CSDelay},
-		{"t2/skiplist/herlihy", multiprogramConfig("skiplist/herlihy", 1, 5), fault.HTMAbort},
-		{"t3-locks/bst/tk", multiprogramConfig("bst/tk", 1, 0), fault.CSDelay},
+		{"fig9/list/lazy", fig9Cell("list/lazy").harnessConfig(), fault.CSDelay},
+		{"fig9/hashtable/lazy", fig9Cell("hashtable/lazy").harnessConfig(), fault.CSDelay},
+		{"t2/skiplist/herlihy", multiprogramCell("skiplist/herlihy", 1, 5).harnessConfig(), fault.HTMAbort},
+		{"t3-locks/bst/tk", multiprogramCell("bst/tk", 1, 0).harnessConfig(), fault.CSDelay},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.cfg.Fault == nil {
@@ -46,5 +49,26 @@ func TestPaperCellsFire(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSimFiguresDeterministic: under -engine sim every figure key renders
+// the same bytes twice and opens with its header. The simulator is seeded
+// and the sim engine never runs the harness, whose timing would differ.
+func TestSimFiguresDeterministic(t *testing.T) {
+	defer func(e string) { *engine, out = e, os.Stdout }(*engine)
+	*engine = "sim"
+	for _, f := range figures {
+		var a, b bytes.Buffer
+		out = &a
+		render(f.key)
+		out = &b
+		render(f.key)
+		if !strings.HasPrefix(a.String(), "=== "+f.title+" ===\n") {
+			t.Errorf("-fig %s: no header in %q", f.key, a.String())
+		}
+		if a.String() != b.String() {
+			t.Errorf("-fig %s: two sim renders differ:\n%s\n---\n%s", f.key, a.String(), b.String())
+		}
 	}
 }

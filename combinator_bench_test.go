@@ -17,7 +17,7 @@ import (
 )
 
 // BenchmarkCombinatorShardedList: plain vs sharded lazy list, uniform and
-// Zipfian key popularity (reported metrics as in bench_test.go).
+// Zipfian key popularity (reported metrics as in ablation_bench_test.go).
 func BenchmarkCombinatorShardedList(b *testing.B) {
 	for _, alg := range []string{"list/lazy", "sharded(16,list/lazy)"} {
 		for _, zipf := range []float64{0, 0.8} {

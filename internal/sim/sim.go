@@ -98,6 +98,21 @@ type Structure struct {
 	SerializedUpdates bool
 }
 
+// Phases returns one operation's parse and write phase durations on a
+// structure of size elements at hop latency hopNs, and Equation 2's
+// write-phase fraction fw at update ratio u, from those durations. A
+// SerializedUpdates hotspot makes every operation an update on one
+// lock, so its fw ignores u.
+func (s Structure) Phases(size int, hopNs, u float64) (parseNs, writeNs, fw float64) {
+	parseNs = s.OverheadNs + s.Hops(size)*hopNs*s.TraversalFactor
+	writeNs = s.WriteNs + 2*hopNs*s.Locks // lock-word transfers
+	updateNs := parseNs + writeNs
+	if s.SerializedUpdates {
+		return parseNs, writeNs, writeNs / updateNs
+	}
+	return parseNs, writeNs, birthday.FUpdate(u, updateNs, parseNs) * writeNs / updateNs
+}
+
 // The structure models used by the figures.
 
 // ListModel is the lazy linked list.
@@ -266,20 +281,9 @@ func Run(cfg Config) Result {
 	t := cfg.Threads
 	rng := xrand.New(cfg.Seed + 0x5EED)
 
-	hop := m.effectiveHop(t, cfg.UpdateRatio)
-	parseNs := st.OverheadNs + st.Hops(cfg.Size)*hop*st.TraversalFactor
-	writeNs := st.WriteNs + 2*hop*st.Locks // lock-word transfers
-	readNs := parseNs
-	updateNs := parseNs + writeNs
-
 	// Self-consistent write-phase fraction (Equation 2 with the simulated
 	// durations).
-	fu := birthday.FUpdate(cfg.UpdateRatio, updateNs, readNs)
-	fw := fu * writeNs / updateNs
-	if st.SerializedUpdates {
-		// Hotspot structures: every operation is an update on one lock.
-		fw = writeNs / updateNs
-	}
+	parseNs, writeNs, fw := st.Phases(cfg.Size, m.effectiveHop(t, cfg.UpdateRatio), cfg.UpdateRatio)
 
 	// Per-update conflict probability: some other thread is in a
 	// conflicting write phase. Expected concurrent writers among the
@@ -336,7 +340,7 @@ func Run(cfg Config) Result {
 		for i := 0; i < opsPerThread; i++ {
 			isUpdate := rng.Bool(cfg.UpdateRatio) || st.SerializedUpdates
 			if !isUpdate {
-				busy += readNs
+				busy += parseNs // a read is its parse phase
 				ops++
 				continue
 			}

@@ -203,7 +203,7 @@ func Derive(in Inputs) (Derived, error) {
 			if n < 2*minShardSize {
 				break
 			}
-			if st.Hops(n)*refHopNs*st.TraversalFactor <= st.OverheadNs {
+			if parse, _, _ := st.Phases(n, refHopNs, wl.UpdateRatio); parse-st.OverheadNs <= st.OverheadNs {
 				break
 			}
 			wTrav *= 2
@@ -322,13 +322,7 @@ func conflictAt(st sim.Structure, threads, size, w int, u, sumP2 float64) float6
 	if n < 2 {
 		n = 2
 	}
-	parse := st.OverheadNs + st.Hops(n)*refHopNs*st.TraversalFactor
-	write := st.WriteNs + 2*refHopNs*st.Locks
-	fu := birthday.FUpdate(u, parse+write, parse)
-	fw := fu * write / (parse + write)
-	if st.SerializedUpdates {
-		fw = write / (parse + write)
-	}
+	_, _, fw := st.Phases(n, refHopNs, u)
 	p := birthday.PConflict(threads, fw/float64(w), func(k int) float64 { return st.B(k, n) })
 	p = 1 - math.Pow(1-p, float64(w))
 	if sumP2 > 0 {
