@@ -1,12 +1,13 @@
 // Batched (core.Batcher) paths for the combinators. The composite
 // batching contract is destination grouping: a batch is bucket-sorted
 // by part once (through the partition's router), and each destination
-// boundary is crossed once per batch — one routing pass, one
-// shard-map/epoch load, one lock epoch per part — instead of once per
-// key. Results are buffered and replayed in caller order. The exception
-// is a Partition over a core.PartBatcher leaf: there every key is routed
-// to its part and the whole batch goes down in one call, which the leaf
-// serves across all parts at once and answers in caller order itself.
+// boundary is crossed once per batch — one routing pass, one lock
+// epoch per part — instead of once per key. Results are buffered and
+// replayed in caller order. The exception is a Partition over a
+// core.PartBatcher leaf: there every key is routed to its part and the
+// whole batch goes down in one call, which the leaf serves across all
+// parts at once and answers in caller order itself. Elastic runs every
+// batch through its current epoch's Partition.
 package combinator
 
 import (
@@ -312,42 +313,15 @@ func (p *Partition) applyCombined(j int) core.CombineApply {
 // Elastic
 // ---------------------------------------------------------------------------
 
-// multiGetOn runs one grouped read pass over epoch p, re-checking the
-// frozen-and-superseded staleness witness once per shard (not per
-// key). Reports false if any shard was stale (results are then
-// discarded and the whole batch retried on the published map).
-func (e *Elastic) multiGetOn(c *core.Ctx, p *epartition, keys []core.Key, vals []core.Value, oks []bool, witness bool) bool {
-	sc := core.GetBatchScratch()
-	defer sc.Release()
-	parts := len(p.shards)
-	idx, off := groupBatch(sc, len(keys), parts, func(i int) int { return p.r.index(keys[i]) })
-	sub := sc.Keys(len(keys))[:0]
-	var g []int
-	cb := func(j int, v core.Value, ok bool) { vals[g[j]], oks[g[j]] = v, ok }
-	for part := 0; part < parts; part++ {
-		lo, hi := off[part], off[part+1]
-		if lo == hi {
-			continue
-		}
-		g = idx[lo:hi]
-		sub = sub[:0]
-		for _, i := range g {
-			sub = append(sub, keys[i])
-		}
-		sh := &p.shards[part]
-		core.AsBatcher(sh.set).MultiGet(c, sub, cb)
-		if witness && sh.frozen.Load() && e.cur.Load() != p {
-			return false
-		}
-	}
-	return true
-}
-
 // MultiGet implements core.Batcher with the same old-then-new epoch
-// discipline as Get, amortized to one epoch load and one staleness
-// witness per shard per batch. After scanEpochRetries superseded maps
-// it pins the map by briefly excluding resizes (resizeMu pauses
-// migrations, never operations), mirroring Scan's fallback.
+// discipline as Get, at batch granularity: the loaded map's Partition
+// serves the whole batch into a caller-order sink, and the result stands
+// only if that map is still current afterwards. Every part was then read
+// either unfrozen (current at that instant) or frozen under a current
+// map (immutable and authoritative, its writers parked). A superseded
+// map retries the batch; after scanEpochRetries of them the batch pins
+// the map by briefly excluding resizes (resizeMu pauses migrations,
+// never operations), mirroring Scan's fallback.
 func (e *Elastic) MultiGet(c *core.Ctx, keys []core.Key, f func(i int, v core.Value, ok bool)) {
 	n := len(keys)
 	if n == 0 {
@@ -359,135 +333,78 @@ func (e *Elastic) MultiGet(c *core.Ctx, keys []core.Key, f func(i int, v core.Va
 	defer c.EpochExit()
 	sc := core.GetBatchScratch()
 	defer sc.Release()
-	vals := sc.Vals(n)
-	oks := sc.Bools(n)
+	sk := getSink(sc, n)
+	defer sk.release()
 	for attempt := 0; attempt < scanEpochRetries; attempt++ {
-		if e.multiGetOn(c, e.cur.Load(), keys, vals, oks, true) {
-			for i := 0; i < n; i++ {
-				f(i, vals[i], oks[i])
-			}
+		p := e.cur.Load()
+		p.MultiGet(c, keys, sk.get)
+		if e.cur.Load() == p {
+			replayGets(sk.vals, sk.oks, f)
 			return
 		}
 	}
 	e.resizeMu.Lock()
-	e.multiGetOn(c, e.cur.Load(), keys, vals, oks, false)
+	e.cur.Load().MultiGet(c, keys, sk.get)
 	e.resizeMu.Unlock()
-	for i := 0; i < n; i++ {
-		f(i, vals[i], oks[i])
-	}
+	replayGets(sk.vals, sk.oks, f)
 }
 
-// multiWrite runs a grouped write batch under the shard gate protocol:
-// one gate entry (writer publish + frozen check) per shard per batch.
-// A frozen shard parks the batch until the epoch advances, then the
-// unapplied remainder regroups on the published map — applied elements
-// keep their results (their inner operations already linearized).
-func (e *Elastic) multiWrite(c *core.Ctx, sc *core.BatchScratch, n int, keyAt func(i int) core.Key, apply func(s core.Set, members []int, res []bool)) []bool {
+// writeBatch runs one write batch on exactly one shard map. It routes
+// the batch once, entering the gate of every part the batch touches and
+// checking each part's frozen flag after entering its gate. If none is
+// frozen, no migrator can drain any of those parts before apply returns,
+// so the whole batch runs on the loaded map's Partition (flat combining
+// and PartBatcher paths included). If one is frozen, nothing has been
+// applied yet: the batch leaves every gate, parks until the epoch
+// advances (instrumented, like write) and retries whole on the published
+// map. The price is that a resize's drain of a part waits for a whole
+// batch touching it, not one sub-batch.
+func (e *Elastic) writeBatch(c *core.Ctx, n int, key func(i int) core.Key, apply func(p *Partition)) {
+	if n == 0 {
+		return
+	}
 	c.EpochEnter()
 	defer c.EpochExit()
-	res := sc.Bools(n)
-	pending := sc.Ints(n)
-	for i := range pending {
-		pending[i] = i
-	}
-	for len(pending) > 0 {
+	sc := core.GetBatchScratch()
+	defer sc.Release()
+	for {
 		p := e.cur.Load()
-		parts := len(p.shards)
-		idx, off := groupBatch(sc, len(pending), parts, func(j int) int { return p.r.index(keyAt(pending[j])) })
-		applied := sc.Bools(len(pending))
-		memberBuf := sc.Ints(len(pending))
-		stale := false
-		for part := 0; part < parts; part++ {
-			lo, hi := off[part], off[part+1]
-			if lo == hi {
-				continue
-			}
-			sh := &p.shards[part]
-			sh.writers.Add(1)
-			if sh.frozen.Load() {
-				sh.writers.Add(-1)
-				// The migrator owns this shard until the next map is
-				// published; park (instrumented) and regroup what's left.
-				locks.WaitWhile(c.Stat(), func() bool { return e.cur.Load() == p })
-				stale = true
-				break
-			}
-			members := memberBuf[:0]
-			for _, j := range idx[lo:hi] {
-				members = append(members, pending[j])
-			}
-			apply(sh.set, members, res)
-			sh.writers.Add(-1)
-			for _, j := range idx[lo:hi] {
-				applied[j] = true
+		touched := sc.Bools(len(p.parts))
+		frozen := false
+		for i := 0; i < n && !frozen; i++ {
+			if j := p.r.index(key(i)); !touched[j] {
+				touched[j] = true
+				p.gates[j].writers.Add(1)
+				frozen = p.gates[j].frozen.Load()
 			}
 		}
-		if !stale {
-			return res
+		if !frozen {
+			apply(p.Partition)
 		}
-		rest := sc.Ints(len(pending))[:0]
-		for j, did := range applied {
-			if !did {
-				rest = append(rest, pending[j])
+		for j, t := range touched {
+			if t {
+				p.gates[j].writers.Add(-1)
 			}
 		}
-		pending = rest
+		if !frozen {
+			return
+		}
+		locks.WaitWhile(c.Stat(), func() bool { return e.cur.Load() == p })
 	}
-	return res
 }
 
-// MultiPut implements core.Batcher under the shard gate protocol (see
-// multiWrite).
+// MultiPut implements core.Batcher under the gate protocol (see
+// writeBatch).
 func (e *Elastic) MultiPut(c *core.Ctx, pairs []core.KV, f func(i int, inserted bool)) {
-	if len(pairs) == 0 {
-		return
-	}
-	sc := core.GetBatchScratch()
-	defer sc.Release()
-	subBuf := sc.KVs(len(pairs))
-	var m []int
-	var out []bool
-	cb := func(j int, ok bool) { out[m[j]] = ok }
-	res := e.multiWrite(c, sc, len(pairs),
-		func(i int) core.Key { return pairs[i].K },
-		func(s core.Set, members []int, res []bool) {
-			sub := subBuf[:0]
-			for _, i := range members {
-				sub = append(sub, pairs[i])
-			}
-			m, out = members, res
-			core.AsBatcher(s).MultiPut(c, sub, cb)
-		})
-	for i := range res {
-		f(i, res[i])
-	}
+	e.writeBatch(c, len(pairs), func(i int) core.Key { return pairs[i].K },
+		func(p *Partition) { p.MultiPut(c, pairs, f) })
 }
 
-// MultiRemove implements core.Batcher under the shard gate protocol
-// (see multiWrite).
+// MultiRemove implements core.Batcher under the gate protocol (see
+// writeBatch).
 func (e *Elastic) MultiRemove(c *core.Ctx, keys []core.Key, f func(i int, removed bool)) {
-	if len(keys) == 0 {
-		return
-	}
-	sc := core.GetBatchScratch()
-	defer sc.Release()
-	subBuf := sc.Keys(len(keys))
-	var m []int
-	var out []bool
-	cb := func(j int, ok bool) { out[m[j]] = ok }
-	res := e.multiWrite(c, sc, len(keys),
-		func(i int) core.Key { return keys[i] },
-		func(s core.Set, members []int, res []bool) {
-			sub := subBuf[:0]
-			for _, i := range members {
-				sub = append(sub, keys[i])
-			}
-			m, out = members, res
-			core.AsBatcher(s).MultiRemove(c, sub, cb)
-		})
-	for i := range res {
-		f(i, res[i])
-	}
+	e.writeBatch(c, len(keys), func(i int) core.Key { return keys[i] },
+		func(p *Partition) { p.MultiRemove(c, keys, f) })
 }
 
 // ---------------------------------------------------------------------------

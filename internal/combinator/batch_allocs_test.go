@@ -33,7 +33,8 @@ func allocBatch() ([]core.Key, []core.KV) {
 // TestBatchAllocs pins the steady state of the batch paths, with and
 // without an EBR record. A 64-key MultiGet allocates nothing: the window
 // of the interleaved skip-list pass, the routed parts slice and the
-// grouped paths' result sink are all pooled. A MultiRemove then MultiPut
+// grouped paths' result sink are all pooled, and an elastic epoch is a
+// Partition, so its batches cost what sharded(32,·)'s do. A MultiRemove then MultiPut
 // of the same 64 keys allocates what the leaf's inserts allocate (two
 // objects per skip-list node without EBR, none with its pools warm; the
 // hash table's ordered index costs two objects per index node, EBR or
@@ -50,6 +51,8 @@ func TestBatchAllocs(t *testing.T) {
 		{"striped(32,skiplist/herlihy)", [2]float64{132, 5}},
 		{"hashtable/lazy", [2]float64{192, 128}},
 		{"sharded(32,hashtable/lazy)", [2]float64{192, 128}},
+		{"elastic(32,skiplist/herlihy)", [2]float64{132, 5}},
+		{"elastic(32,hashtable/lazy)", [2]float64{192, 128}},
 	} {
 		for e, useEBR := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/ebr=%v", tc.spec, useEBR), func(t *testing.T) {
@@ -77,7 +80,8 @@ func TestBatchAllocs(t *testing.T) {
 
 // TestCombinedBatchAllocs pins the two write paths that apply a batch
 // through an inner Batcher under a lock: the single-shard flat-combining
-// apply and the read cache's optimistic batch update. Their slot and key
+// apply (also under elastic's resize gates) and the read cache's
+// optimistic batch update. Their slot and key
 // buffers are carved from the batch scratch and their inner callbacks
 // come from the pooled sink. The one allocation left in the cache's
 // update is htm.Try's lock set, which escapes through the body callback.
@@ -89,6 +93,7 @@ func TestCombinedBatchAllocs(t *testing.T) {
 		want  float64
 	}{
 		{"sharded(1,skiplist/herlihy)", func(b core.Batcher, c *core.Ctx) { b.MultiRemove(c, keys[:8], gotSet) }, 0},
+		{"elastic(1,skiplist/herlihy)", func(b core.Batcher, c *core.Ctx) { b.MultiRemove(c, keys[:8], gotSet) }, 0},
 		{"readcache(64,sharded(4,hashtable/lazy))", func(b core.Batcher, c *core.Ctx) { b.MultiPut(c, pairs[:8], gotSet) }, 1},
 	} {
 		t.Run(tc.spec, func(t *testing.T) {

@@ -128,10 +128,11 @@ func TestCompositeCursorsMoreLeaves(t *testing.T) {
 // TestCompositeBatchers runs the batched-operation battery over every
 // combinator: shard-grouped sub-batches (sharded, including the
 // single-shard flat-combining path), the same routed paths under range
-// routing (striped), probe-then-forward (readcache), epoch- and
-// gate-disciplined grouping (elastic), and nesting. sharded(1,...) maximizes the single-shard
-// combine path's exposure; sharded(·,skiplist/herlihy) is the one-call
-// PartBatcher path (the repo benchmark's range spec at 32).
+// routing (striped), probe-then-forward (readcache), the same routed
+// paths under epoch checks and resize gates (elastic), and nesting.
+// sharded(1,...) maximizes the single-shard combine path's exposure;
+// sharded(·,skiplist/herlihy) is the one-call PartBatcher path (the
+// repo benchmark's range spec at 32).
 func TestCompositeBatchers(t *testing.T) {
 	runSpecs(t, settest.RunBatcher,
 		"sharded(16,list/lazy)",
@@ -160,9 +161,11 @@ func TestCompositeBatchersMoreLeaves(t *testing.T) {
 // battery: batches over elastic composites must keep the per-key
 // algebra and anchor visibility — every element linearizing inside its
 // call — while a dedicated goroutine grows and shrinks the shard map
-// between (and during) batches (the battery's UnderResize legs).
+// between (and during) batches (the battery's UnderResize legs). Whole
+// write batches park on a frozen part and retry on the published map.
 func TestElasticBatchUnderResize(t *testing.T) {
-	runSpecs(t, settest.RunBatcher, "elastic(2,list/lazy)", "elastic(2,skiplist/herlihy)")
+	runSpecs(t, settest.RunBatcher, "elastic(2,list/lazy)", "elastic(2,skiplist/herlihy)",
+		"elastic(1,skiplist/herlihy)") // every batch single-part: the flat-combining path
 }
 
 // TestElasticCursorUnderResize is the acceptance point of the cursor

@@ -55,6 +55,11 @@ import (
 //     both cases the result is current. Only a reader that raced a
 //     completed swap retries, against the new map.
 //
+// Batches apply the same two rules once per batch, over the epoch's own
+// Partition (batch.go): a write batch enters the gate of every part it
+// touches and parks whole if any is frozen, and a read batch keeps its
+// result only if its map is still current afterwards.
+//
 // Linearizability: away from resizes, operations linearize at their inner
 // operation, exactly like Partition. Around a resize, writes linearize at
 // their inner operation (always on a shard the migrator has not yet
@@ -64,36 +69,25 @@ type Elastic struct {
 	inner func(core.Options) core.Set
 	opts  core.Options // composite-level hints; re-split on every resize
 
-	cur      atomic.Pointer[epartition]
+	cur      atomic.Pointer[epoch]
 	resizeMu sync.Mutex // serializes resizes; never touched by Get/Put/Remove
 	resizes  atomic.Uint64
 }
 
-// epartition is one immutable shard-map epoch: its block-hashed router
-// and shards. sets lists the shards' instances in shard order — the
-// shape the core merge primitives take, built once with the map instead
-// of once per scan or page.
-type epartition struct {
-	r      router
-	shards []eshard
-	sets   []core.Set
+// epoch is one immutable shard-map epoch: an ordinary block-hashed
+// Partition — so its batches, Len and Range are Partition's own — plus
+// one resize gate per part.
+type epoch struct {
+	*Partition
+	gates []gate
 }
 
-// eshard is one shard of an epoch: the inner instance plus the freeze
-// flag and writer gate of the resize protocol. Padded so that adjacent
-// shards' gates do not share a cache line.
-type eshard struct {
-	set     core.Set
+// gate is one part's freeze flag and writer gate of the resize protocol.
+// Padded so that adjacent parts' gates do not share a cache line.
+type gate struct {
 	frozen  atomic.Bool
 	writers atomic.Int64
-	_       [32]byte
-}
-
-// route picks the shard for a key through the package's one router, so
-// point ops, the batch groupers, scans and migration's re-route agree
-// with each other and with sharded(N,·).
-func (p *epartition) route(k core.Key) *eshard {
-	return &p.shards[p.r.index(k)]
+	_       [48]byte
 }
 
 // NewElastic builds an elastic composite with the given initial width.
@@ -103,30 +97,24 @@ func (p *epartition) route(k core.Key) *eshard {
 // composite's Scan collects per-shard sub-snapshots.
 func NewElastic(n int, inner func(core.Options) core.Set, o core.Options) (*Elastic, error) {
 	e := &Elastic{inner: inner, opts: o}
-	p := e.buildPartition(clampParts(n))
-	if _, ok := p.shards[0].set.(core.Ranger); !ok {
-		return nil, fmt.Errorf("combinator: elastic needs an inner structure that implements core.Ranger (shard migration iterates frozen shards); %T does not", p.shards[0].set)
+	p := e.newEpoch(clampParts(n))
+	if _, ok := p.parts[0].(core.Ranger); !ok {
+		return nil, fmt.Errorf("combinator: elastic needs an inner structure that implements core.Ranger (shard migration iterates frozen shards); %T does not", p.parts[0])
 	}
-	if _, ok := p.shards[0].set.(core.Scanner); !ok {
-		return nil, fmt.Errorf("combinator: elastic needs an inner structure that implements core.Scanner (composite scans collect per-shard snapshots); %T does not", p.shards[0].set)
+	if _, ok := p.parts[0].(core.Scanner); !ok {
+		return nil, fmt.Errorf("combinator: elastic needs an inner structure that implements core.Scanner (composite scans collect per-shard snapshots); %T does not", p.parts[0])
 	}
-	if _, ok := p.shards[0].set.(core.Cursor); !ok {
-		return nil, fmt.Errorf("combinator: elastic needs an inner structure that implements core.Cursor (composite cursor pages merge per-shard pages); %T does not", p.shards[0].set)
+	if _, ok := p.parts[0].(core.Cursor); !ok {
+		return nil, fmt.Errorf("combinator: elastic needs an inner structure that implements core.Cursor (composite cursor pages merge per-shard pages); %T does not", p.parts[0])
 	}
 	e.cur.Store(p)
 	return e, nil
 }
 
-// buildPartition constructs a fresh n-way shard map from the composite's
+// newEpoch constructs a fresh n-way shard map from the composite's
 // original (undivided) option hints.
-func (e *Elastic) buildPartition(n int) *epartition {
-	so := splitOptions(e.opts, n)
-	p := &epartition{r: router{n: n}, shards: make([]eshard, n), sets: make([]core.Set, n)}
-	for i := range p.shards {
-		p.sets[i] = e.inner(so)
-		p.shards[i].set = p.sets[i]
-	}
-	return p
+func (e *Elastic) newEpoch(n int) *epoch {
+	return &epoch{newPartition(router{n: n}, e.inner, e.opts), make([]gate, n)}
 }
 
 // Get implements core.Set. The hot path is one map load, the inner Get,
@@ -139,9 +127,9 @@ func (e *Elastic) Get(c *core.Ctx, k core.Key) (core.Value, bool) {
 	defer c.EpochExit()
 	for {
 		p := e.cur.Load()
-		sh := p.route(k)
-		v, ok := sh.set.Get(c, k)
-		if !sh.frozen.Load() || e.cur.Load() == p {
+		i := p.r.index(k)
+		v, ok := p.parts[i].Get(c, k)
+		if !p.gates[i].frozen.Load() || e.cur.Load() == p {
 			// Unfrozen: the read finished before any migration of this
 			// shard. Frozen but unswapped: the shard is immutable and no
 			// newer write exists anywhere yet. Either way, current.
@@ -159,14 +147,15 @@ func (e *Elastic) write(c *core.Ctx, k core.Key, op func(core.Set) bool) bool {
 	defer c.EpochExit()
 	for {
 		p := e.cur.Load()
-		sh := p.route(k)
-		sh.writers.Add(1)
-		if !sh.frozen.Load() {
-			res := op(sh.set)
-			sh.writers.Add(-1)
+		i := p.r.index(k)
+		g := &p.gates[i]
+		g.writers.Add(1)
+		if !g.frozen.Load() {
+			res := op(p.parts[i])
+			g.writers.Add(-1)
 			return res
 		}
-		sh.writers.Add(-1)
+		g.writers.Add(-1)
 		// The migrator owns this shard until the next map is published.
 		// Park (instrumented: the paper's metrics must see this wait),
 		// then retry on the published map.
@@ -184,22 +173,13 @@ func (e *Elastic) Remove(c *core.Ctx, k core.Key) bool {
 	return e.write(c, k, func(s core.Set) bool { return s.Remove(c, k) })
 }
 
-// Len sums the shard sizes of the current map (quiesced-only, like the
+// Len sums the part sizes of the current map (quiesced-only, like the
 // inner Lens).
-func (e *Elastic) Len() int {
-	p := e.cur.Load()
-	n := 0
-	for i := range p.shards {
-		n += p.shards[i].set.Len()
-	}
-	return n
-}
+func (e *Elastic) Len() int { return e.cur.Load().Len() }
 
-// Range implements core.Ranger over the current map's shards, in index
+// Range implements core.Ranger over the current map's parts, in index
 // order — arbitrary key order overall (the partition is hashed).
-func (e *Elastic) Range(f func(k core.Key, v core.Value) bool) {
-	rangeParts(e.cur.Load().sets, f)
-}
+func (e *Elastic) Range(f func(k core.Key, v core.Value) bool) { e.cur.Load().Range(f) }
 
 // scanEpochRetries bounds how many superseded shard maps a scan abandons
 // before it pins the map by briefly excluding resizes.
@@ -210,8 +190,8 @@ const scanEpochRetries = 4
 // the mappings just collected may predate post-swap updates (false). A
 // frozen shard under the *current* map is merely mid-migration: it is
 // immutable and still authoritative, because its writers are parked.
-func (e *Elastic) current(p *epartition, i int) bool {
-	return !p.shards[i].frozen.Load() || e.cur.Load() == p
+func (e *Elastic) current(p *epoch, i int) bool {
+	return !p.gates[i].frozen.Load() || e.cur.Load() == p
 }
 
 // Scan implements core.Scanner with the same old-then-new epoch
@@ -239,7 +219,7 @@ func (e *Elastic) Scan(c *core.Ctx, lo, hi core.Key, f func(k core.Key, v core.V
 	defer c.EpochExit()
 	for attempt := 0; attempt < scanEpochRetries; attempt++ {
 		p := e.cur.Load()
-		finished, aborted := core.MergeScan(c, p.sets, p.r.segment, lo, hi, func(i int) bool { return e.current(p, i) }, f)
+		finished, aborted := core.MergeScan(c, p.parts, p.r.segment, lo, hi, func(i int) bool { return e.current(p, i) }, f)
 		if !aborted {
 			c.RecordScanRetries(attempt)
 			return finished
@@ -254,7 +234,7 @@ func (e *Elastic) Scan(c *core.Ctx, lo, hi core.Key, f func(k core.Key, v core.V
 	defer e.resizeMu.Unlock()
 	c.RecordScanRetries(scanEpochRetries)
 	p := e.cur.Load()
-	finished, _ := core.MergeScan(c, p.sets, p.r.segment, lo, hi, nil, f)
+	finished, _ := core.MergeScan(c, p.parts, p.r.segment, lo, hi, nil, f)
 	return finished
 }
 
@@ -284,7 +264,7 @@ func (e *Elastic) CursorNext(c *core.Ctx, pos, hi core.Key, max int, f func(k co
 	defer c.EpochExit()
 	for attempt := 0; attempt < scanEpochRetries; attempt++ {
 		p := e.cur.Load()
-		next, done, aborted := core.StreamMergeNext(c, p.sets, pos, hi, max, func(i int) bool { return e.current(p, i) }, f)
+		next, done, aborted := core.StreamMergeNext(c, p.parts, pos, hi, max, func(i int) bool { return e.current(p, i) }, f)
 		if !aborted {
 			c.RecordCursorRetries(attempt)
 			return next, done
@@ -295,12 +275,12 @@ func (e *Elastic) CursorNext(c *core.Ctx, pos, hi core.Key, max int, f func(k co
 	e.resizeMu.Lock()
 	defer e.resizeMu.Unlock()
 	c.RecordCursorRetries(scanEpochRetries)
-	next, done, _ := core.StreamMergeNext(c, e.cur.Load().sets, pos, hi, max, nil, f)
+	next, done, _ := core.StreamMergeNext(c, e.cur.Load().parts, pos, hi, max, nil, f)
 	return next, done
 }
 
 // Width implements core.Resizable: the current shard count.
-func (e *Elastic) Width() int { return len(e.cur.Load().shards) }
+func (e *Elastic) Width() int { return len(e.cur.Load().parts) }
 
 // Resizes reports how many resizes have been published (for tests and
 // width-over-time reporting).
@@ -323,24 +303,24 @@ func (e *Elastic) Resize(c *core.Ctx, n int) error {
 	e.resizeMu.Lock()
 	defer e.resizeMu.Unlock()
 	old := e.cur.Load()
-	if len(old.shards) == n {
+	if len(old.parts) == n {
 		return nil
 	}
-	next := e.buildPartition(n)
-	for i := range old.shards {
-		sh := &old.shards[i]
-		sh.frozen.Store(true)
+	next := e.newEpoch(n)
+	for i, set := range old.parts {
+		g := &old.gates[i]
+		g.frozen.Store(true)
 		// Drain: writers enter the gate before checking frozen, so once
 		// the gate reads zero, every writer that could still touch this
 		// shard has either completed or will observe frozen and park.
 		// (The migrator's own drain wait is an admin cost, not a
 		// workload metric, so it records no stats.)
-		locks.WaitWhile(nil, func() bool { return sh.writers.Load() != 0 })
+		locks.WaitWhile(nil, func() bool { return g.writers.Load() != 0 })
 		// Copy the now-immutable shard into the new map. Concurrent
 		// readers keep scanning the old shard meanwhile; it still holds
 		// everything they can legitimately observe.
-		sh.set.(core.Ranger).Range(func(k core.Key, v core.Value) bool {
-			next.route(k).set.Put(c, k, v)
+		set.(core.Ranger).Range(func(k core.Key, v core.Value) bool {
+			next.Put(c, k, v)
 			return true
 		})
 	}
@@ -355,6 +335,6 @@ func (e *Elastic) Resize(c *core.Ctx, n int) error {
 	// its shards' nodes feed the pools. Shards whose structures cannot
 	// pool (and the map skeleton itself) simply fall to the GC when the
 	// callback drops the last reference.
-	c.Retire(old, func(v any) { reclaimParts(v.(*epartition).sets) })
+	c.Retire(old, func(v any) { reclaimParts(v.(*epoch).parts) })
 	return nil
 }

@@ -1,6 +1,8 @@
 package combinator
 
 import (
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -59,8 +61,8 @@ func TestElasticGrowShrinkMovesKeys(t *testing.T) {
 			}
 		}
 		p := e.cur.Load()
-		for i := range p.shards {
-			if l := p.shards[i].set.Len(); l == 0 || l > 3*n/(2*wantWidth) {
+		for i, part := range p.parts {
+			if l := part.Len(); l == 0 || l > 3*n/(2*wantWidth) {
 				t.Fatalf("width %d: shard %d holds %d of %d keys — degenerate migration", wantWidth, i, l, n)
 			}
 		}
@@ -312,5 +314,62 @@ func TestElasticScanRecordsEpochRetries(t *testing.T) {
 	}
 	if c.Stats.ScanRetries < 1 {
 		t.Fatalf("ScanRetries = %d after a scan that discarded a superseded epoch, want >= 1", c.Stats.ScanRetries)
+	}
+}
+
+// TestElasticWriteBatchParksWhole pins the one-map rule of elastic write
+// batches: a batch that touches a frozen part applies nothing before it
+// parks, and runs whole on the map the resize publishes.
+func TestElasticWriteBatchParksWhole(t *testing.T) {
+	s, err := core.Build("elastic(4,list/lazy)", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := s.(*Elastic)
+	p := e.cur.Load()
+	// One key per part, in part order, so the frozen part comes last.
+	var pairs [4]core.KV
+	found := 0
+	for k := core.Key(0); found < len(pairs); k += 1 << routeBlockBits {
+		if i := p.r.index(k); pairs[i].V == 0 {
+			pairs[i] = core.KV{K: k, V: k + 1}
+			found++
+		}
+	}
+	p.gates[len(p.gates)-1].frozen.Store(true)
+	done := make(chan [4]bool)
+	go func() {
+		var res [4]bool
+		e.MultiPut(core.NewCtx(1), pairs[:], func(i int, ok bool) { res[i] = ok })
+		done <- res
+	}()
+	// Wait for the batch to park: its goroutine spins in locks.WaitWhile
+	// until the map advances.
+	buf := make([]byte, 1<<20)
+	for !strings.Contains(string(buf[:runtime.Stack(buf, true)]), "locks.WaitWhile") {
+		select {
+		case <-done:
+			t.Fatal("MultiPut returned while one of its parts was frozen")
+		default:
+			runtime.Gosched()
+		}
+	}
+	c := ctx()
+	for _, kv := range pairs {
+		if _, ok := e.Get(c, kv.K); ok {
+			t.Fatalf("key %d visible while its batch is parked on a frozen part", kv.K)
+		}
+	}
+	if err := e.Resize(c, 8); err != nil {
+		t.Fatal(err)
+	}
+	res := <-done
+	for i, kv := range pairs {
+		if !res[i] {
+			t.Errorf("element %d (key %d) reported not inserted", i, kv.K)
+		}
+		if v, ok := e.Get(c, kv.K); !ok || v != kv.V {
+			t.Errorf("after the resize: Get(%d) = (%d, %v), want (%d, true)", kv.K, v, ok, kv.V)
+		}
 	}
 }

@@ -57,7 +57,7 @@ func (p *Pool) Put(v any) { p.p.Put(v) }
 // population back to the pools in one sweep. The caller must guarantee
 // quiescence on the instance (no concurrent operations and no future
 // ones) — the eager path elastic resize uses on a superseded shard map:
-// once the old epartition's grace period elapses, every shard is
+// once the superseded epoch's grace period elapses, every shard is
 // ReclaimAll'd instead of waiting for the GC to trace the dead map.
 // Composites delegate to their parts.
 type Reclaimer interface {

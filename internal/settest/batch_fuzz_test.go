@@ -24,6 +24,7 @@ var fuzzBatchSpecs = []string{
 	"sharded(4,list/lazy)",        // shard grouping + flat-combining wiring
 	"sharded(4,skiplist/herlihy)", // one routed PartBatcher call
 	"striped(4,skiplist/herlihy)", // the same call under range routing
+	"elastic(4,skiplist/herlihy)", // the same call under resize gates
 	"readcache(64,list/lazy)",     // probe pass + miss sub-batch
 }
 
