@@ -12,6 +12,7 @@ package core
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // Poison sentinels: reclaim callbacks overwrite a dead node's key and
@@ -48,10 +49,64 @@ func (p *Pool) Get(c *Ctx) any {
 	return v
 }
 
+// Drop undoes the hit Get just counted, as a miss: the caller found the
+// pooled node unfit for its request (a tower too short) and leaves it to
+// the GC, so the allocation falls through to new after all.
+func (p *Pool) Drop(c *Ctx) {
+	if c != nil && c.Stats != nil {
+		c.Stats.PoolHits--
+		c.Stats.PoolMisses++
+	}
+}
+
 // Put returns a node to the free-list. The caller must have poisoned it
 // and severed its links: a pooled node is re-published by the next
 // inserter, so anything it still points at would leak or confuse.
 func (p *Pool) Put(v any) { p.p.Put(v) }
+
+// NewTower allocates a skip-list node and its tower of height links as
+// one object: the links sit right after the node, so a hop's key, mark
+// and level-0 link lie in one object (one cache line for a 64-byte
+// node) instead of costing a second, dependent miss on a separately
+// allocated tower. The tower's
+// capacity is the smallest of the classes 1, 2, 4, 8 and 32 that holds
+// height — five shapes, so the common short nodes keep a small size
+// class — and a pooled node may be resliced to any height up to it.
+// height must lie in [1, 32].
+func NewTower[N any](height int) (*N, []atomic.Pointer[N]) {
+	switch {
+	case height <= 1:
+		x := new(struct {
+			n N
+			t [1]atomic.Pointer[N]
+		})
+		return &x.n, x.t[:height]
+	case height <= 2:
+		x := new(struct {
+			n N
+			t [2]atomic.Pointer[N]
+		})
+		return &x.n, x.t[:height]
+	case height <= 4:
+		x := new(struct {
+			n N
+			t [4]atomic.Pointer[N]
+		})
+		return &x.n, x.t[:height]
+	case height <= 8:
+		x := new(struct {
+			n N
+			t [8]atomic.Pointer[N]
+		})
+		return &x.n, x.t[:height]
+	default:
+		x := new(struct {
+			n N
+			t [32]atomic.Pointer[N]
+		})
+		return &x.n, x.t[:height]
+	}
+}
 
 // Reclaimer is implemented by structures that can hand their entire node
 // population back to the pools in one sweep. The caller must guarantee

@@ -50,19 +50,26 @@ import (
 // key and remove only ever sees a present key whose insert has
 // finished — its tower fully linked, found at its top level. Readers
 // need no flag either: a collect that overlapped an unfinished splice
-// fails its guard validation.
+// fails its guard validation. next is the tower, allocated in the same
+// object as the node (core.NewTower), so an insert allocates one object;
+// its length is the node's height. Nodes of height 1 and 2, three in
+// four, fit 64 bytes with their tower (TestTowerLayout).
 type ixNode struct {
-	key      core.Key
-	val      core.Value
-	next     []atomic.Pointer[ixNode]
-	marked   atomic.Bool // logically removed; set under lock before the unlink
-	lock     locks.TAS
-	topLevel int
+	key    core.Key
+	val    core.Value
+	next   []atomic.Pointer[ixNode]
+	marked atomic.Bool // logically removed; set under lock before the unlink
+	lock   locks.TAS
 }
 
 func newIxNode(k core.Key, v core.Value, height int) *ixNode {
-	return &ixNode{key: k, val: v, next: make([]atomic.Pointer[ixNode], height), topLevel: height - 1}
+	n, next := core.NewTower[ixNode](height)
+	n.key, n.val, n.next = k, v, next
+	return n
 }
+
+// topLevel is the index of the highest level in the node's tower.
+func (n *ixNode) topLevel() int { return len(n.next) - 1 }
 
 // ixMaxMaxLevel caps tower height (2^32 expected elements is far beyond
 // any table here).
@@ -186,29 +193,31 @@ func unlockWindow(preds []*ixNode, top int) {
 // link splices n into the window preds/succs bottom-up under the window's
 // locks, or reports false if the window moved since it was searched.
 func link(n *ixNode, preds, succs []*ixNode) bool {
-	if !lockWindow(preds, succs, n.topLevel, true) {
+	top := n.topLevel()
+	if !lockWindow(preds, succs, top, true) {
 		return false
 	}
-	for lvl := 0; lvl <= n.topLevel; lvl++ {
+	for lvl := 0; lvl <= top; lvl++ {
 		n.next[lvl].Store(succs[lvl])
 	}
-	for lvl := 0; lvl <= n.topLevel; lvl++ {
+	for lvl := 0; lvl <= top; lvl++ {
 		preds[lvl].next[lvl].Store(n)
 	}
-	unlockWindow(preds, n.topLevel)
+	unlockWindow(preds, top)
 	return true
 }
 
 // unlink removes the marked victim from the window preds/succs top-down
 // under the window's locks, or reports false if the window moved.
 func unlink(victim *ixNode, preds, succs []*ixNode) bool {
-	if !lockWindow(preds, succs, victim.topLevel, false) {
+	top := victim.topLevel()
+	if !lockWindow(preds, succs, top, false) {
 		return false
 	}
-	for lvl := victim.topLevel; lvl >= 0; lvl-- {
+	for lvl := top; lvl >= 0; lvl-- {
 		preds[lvl].next[lvl].Store(victim.next[lvl].Load())
 	}
-	unlockWindow(preds, victim.topLevel)
+	unlockWindow(preds, top)
 	return true
 }
 

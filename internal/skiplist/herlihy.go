@@ -44,7 +44,10 @@ func randomLevel(rng *xrand.Rng, max int) int {
 }
 
 // hNode is an optimistic skip-list node. fullyLinked flips once the tower
-// is completely spliced in; marked is the logical-deletion flag.
+// is completely spliced in; marked is the logical-deletion flag. next is
+// the tower, allocated in the same object as the node (core.NewTower);
+// its length is the node's height. A height-1 node is exactly 64 bytes,
+// tower included (TestTowerLayout).
 type hNode struct {
 	key         core.Key
 	val         core.Value
@@ -52,12 +55,16 @@ type hNode struct {
 	marked      atomic.Bool
 	fullyLinked atomic.Bool
 	lock        locks.TAS
-	topLevel    int // index of highest valid level in next
 }
 
 func newHNode(k core.Key, v core.Value, height int) *hNode {
-	return &hNode{key: k, val: v, next: make([]atomic.Pointer[hNode], height), topLevel: height - 1}
+	n, next := core.NewTower[hNode](height)
+	n.key, n.val, n.next = k, v, next
+	return n
 }
+
+// topLevel is the index of the highest level in the node's tower.
+func (n *hNode) topLevel() int { return len(n.next) - 1 }
 
 // Herlihy is the optimistic lazy skip list (Herlihy, Lev, Luchangco,
 // Shavit, SIROCCO 2007): wait-free contains; updates lock only the
@@ -317,7 +324,7 @@ func (s *Herlihy) putElided(c *core.Ctx, k core.Key, v core.Value) bool {
 
 // okToDelete: fully linked, found at its own top level, unmarked.
 func okToDelete(n *hNode, foundLvl int) bool {
-	return n.fullyLinked.Load() && n.topLevel == foundLvl && !n.marked.Load()
+	return n.fullyLinked.Load() && n.topLevel() == foundLvl && !n.marked.Load()
 }
 
 // Remove implements core.Set.
@@ -371,7 +378,7 @@ func (s *Herlihy) remove(c *core.Ctx, k core.Key, hint *descent) bool {
 		}
 		if isMarked || (found != -1 && okToDelete(victim, found)) {
 			if !isMarked {
-				topLevel = victim.topLevel
+				topLevel = victim.topLevel()
 				victim.lock.Acquire(c.Stat())
 				if victim.marked.Load() {
 					victim.lock.Release()
@@ -428,7 +435,7 @@ func (s *Herlihy) removeElided(c *core.Ctx, k core.Key) bool {
 			c.RecordRestarts(restarts)
 			return false
 		}
-		topLevel := victim.topLevel
+		topLevel := victim.topLevel()
 		var removed bool
 		st := s.region.Run(c.Stat(), c.Injector(), func(a *htm.Acq) htm.Status {
 			if !a.Lock(&victim.lock) {

@@ -1,8 +1,10 @@
-// Typed free-lists and reclaim callbacks for the skip-list towers
-// (DESIGN.md, "Pooling contract"). Reuse is tower-aware: a pooled node
-// whose next slice is at least as tall as the requested height keeps its
-// backing array (resliced down), so steady-state churn stops allocating
-// towers altogether.
+// Typed free-lists and reclaim callbacks for the skip-list nodes
+// (DESIGN.md, "Pooling contract"). A node and its tower are one object
+// (core.NewTower), so reuse is tower-aware: a pooled node serves any
+// height up to its tower's capacity, resliced to the requested height.
+// A pooled node too short for the request is left to the GC and a fresh
+// node allocated in its place — its tower cannot grow in place, and a
+// second, separate tower would bring back the extra miss per hop.
 //
 // Only the two lock-based skip lists pool. Their removes unlink the
 // victim from every level (under locks, or under Pugh's per-level helping
@@ -15,11 +17,7 @@
 // the GC, like the wait-free list (see DESIGN.md).
 package skiplist
 
-import (
-	"sync/atomic"
-
-	"csds/internal/core"
-)
+import "csds/internal/core"
 
 var (
 	hNodePool core.Pool
@@ -34,13 +32,12 @@ func newHNodePooled(c *core.Ctx, k core.Key, v core.Value, height int) *hNode {
 				for i := range n.next {
 					n.next[i].Store(nil)
 				}
-			} else {
-				n.next = make([]atomic.Pointer[hNode], height)
+				n.key, n.val = k, v
+				n.marked.Store(false)
+				n.fullyLinked.Store(false)
+				return n
 			}
-			n.key, n.val, n.topLevel = k, v, height-1
-			n.marked.Store(false)
-			n.fullyLinked.Store(false)
-			return n
+			hNodePool.Drop(c) // tower too short: left to the GC
 		}
 	}
 	return newHNode(k, v, height)
@@ -64,12 +61,11 @@ func newPNodePooled(c *core.Ctx, k core.Key, v core.Value, height int) *pNode {
 				for i := range n.next {
 					n.next[i].Store(nil)
 				}
-			} else {
-				n.next = make([]atomic.Pointer[pNode], height)
+				n.key, n.val = k, v
+				n.marked.Store(false)
+				return n
 			}
-			n.key, n.val, n.topLevel = k, v, height-1
-			n.marked.Store(false)
-			return n
+			pNodePool.Drop(c) // tower too short: left to the GC
 		}
 	}
 	return newPNode(k, v, height)

@@ -7,19 +7,25 @@ import (
 	"csds/internal/locks"
 )
 
-// pNode is a Pugh skip-list node.
+// pNode is a Pugh skip-list node. next is the tower, allocated in the
+// same object as the node (core.NewTower); its length is the node's
+// height.
 type pNode struct {
-	key      core.Key
-	val      core.Value
-	next     []atomic.Pointer[pNode]
-	marked   atomic.Bool
-	lock     locks.TAS
-	topLevel int
+	key    core.Key
+	val    core.Value
+	next   []atomic.Pointer[pNode]
+	marked atomic.Bool
+	lock   locks.TAS
 }
 
 func newPNode(k core.Key, v core.Value, height int) *pNode {
-	return &pNode{key: k, val: v, next: make([]atomic.Pointer[pNode], height), topLevel: height - 1}
+	n, next := core.NewTower[pNode](height)
+	n.key, n.val, n.next = k, v, next
+	return n
 }
+
+// topLevel is the index of the highest level in the node's tower.
+func (n *pNode) topLevel() int { return len(n.next) - 1 }
 
 // Pugh is a per-level-lock skip list in the spirit of Pugh's "Concurrent
 // Maintenance of Skip Lists" (1990): updates lock one predecessor at a
@@ -216,7 +222,7 @@ func (s *Pugh) Remove(c *core.Ctx, k core.Key) bool {
 
 	// Best-effort unlink, top level first; lockLevel's helping removes the
 	// node from each level as a side effect of the slide.
-	for lvl := victim.topLevel; lvl >= 0; lvl-- {
+	for lvl := victim.topLevel(); lvl >= 0; lvl-- {
 		p := s.lockLevelFrom(c, preds[lvl], k, lvl, &restarts)
 		p.lock.Release()
 	}

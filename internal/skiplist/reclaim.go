@@ -1,5 +1,5 @@
 // ReclaimAll (core.Reclaimer) for the pooled skip lists: quiesced
-// teardown sweeps over the bottom level that recycle every tower at
+// teardown sweeps over the bottom level that recycle every node at
 // once (same contract as the list package: the caller guarantees the
 // instance is quiesced and discarded — the elastic resize's retire
 // callback). The lock-free skip list has no pool (pool.go) and so no
@@ -8,7 +8,7 @@ package skiplist
 
 import "csds/internal/core"
 
-// ReclaimAll implements core.Reclaimer: recycle every data tower.
+// ReclaimAll implements core.Reclaimer: recycle every data node.
 func (s *Herlihy) ReclaimAll() {
 	curr := s.head.next[0].Load()
 	for curr != s.tail {
@@ -21,7 +21,7 @@ func (s *Herlihy) ReclaimAll() {
 	}
 }
 
-// ReclaimAll implements core.Reclaimer: recycle every data tower (the
+// ReclaimAll implements core.Reclaimer: recycle every data node (the
 // KeyMax tail sentinel stays).
 func (s *Pugh) ReclaimAll() {
 	curr := s.head.next[0].Load()
