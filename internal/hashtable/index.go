@@ -4,14 +4,23 @@
 // O(table) collect-and-sort the tables paid before — a hash walk has no
 // resumable order of its own, but its shadow does.
 //
-// Consistency protocol: the index is mutated only inside the owning
-// table's ScanGuard write brackets, in the same bracket as the bucket
-// mutation it shadows. Readers (the table's guarded scan/page collects)
-// traverse the index with atomic loads only and validate against that
-// same guard, so a validated collect is guaranteed to have seen a state
-// in which bucket and index agree — pages and scans stay individually
-// linearizable against the table's point operations, exactly as before.
-// Point reads never touch the index.
+// Built on first ordered read: a fresh index is off, and writers skip
+// it. The first Scan or CursorNext of the table builds it (ready): it
+// switches the index to shadowing, from which point every writer keeps
+// the index up to date, then sweeps the table one bucket at a time
+// under that bucket's writer lock, inserting every live mapping, and
+// publishes ready. Point-only traffic never builds it and never pays
+// for it; once built, it is maintained for the table's lifetime.
+//
+// Consistency protocol: a shadowing writer mutates the index inside the
+// owning table's ScanGuard write brackets, in the same bracket as the
+// bucket mutation it shadows, and reads the shadowing flag under the
+// lock that serializes its key. Readers (the table's guarded scan/page
+// collects) collect only once the index is ready, traverse it with
+// atomic loads only and validate against that same guard, so a
+// validated collect is guaranteed to have seen a state in which bucket
+// and index agree — pages and scans stay individually linearizable
+// against the table's point operations, exactly as before.
 //
 // The skip list is the lazy, lock-based one of Herlihy, Lev, Luchangco
 // and Shavit ("A Simple Optimistic Skiplist Algorithm", SIROCCO 2007),
@@ -24,9 +33,10 @@
 // with nil stats, so index maintenance records nothing into the paper's
 // fine-grained lock-wait/restart metrics; those stay the table's own.
 //
-// Lock order: the table's bucket lock (or Bucketed's sequencer), then
-// index node locks, then nothing — index code never waits on a table
-// lock. Within the index every update locks in descending key order (a
+// Lock order: the build mutex, then the table's bucket lock (or
+// Bucketed's sequencer), then index node locks, then nothing — index
+// code never waits on a table lock, and writers never wait on the build
+// mutex. Within the index every update locks in descending key order (a
 // remove's victim first, then the predecessors bottom-up, whose keys
 // fall as levels rise), the order the lazy skip list's deadlock-freedom
 // proof rests on.
@@ -38,6 +48,7 @@ package hashtable
 
 import (
 	"math/bits"
+	"sync"
 	"sync/atomic"
 
 	"csds/internal/core"
@@ -46,14 +57,15 @@ import (
 
 // ixNode is one index node. It has no fullyLinked flag, unlike the lazy
 // skip list's nodes: the tables serialize same-key index updates on
-// their bucket lock (or sequencer), so insert only ever sees an absent
-// key and remove only ever sees a present key whose insert has
-// finished — its tower fully linked, found at its top level. Readers
-// need no flag either: a collect that overlapped an unfinished splice
-// fails its guard validation. next is the tower, allocated in the same
-// object as the node (core.NewTower), so an insert allocates one object;
-// its length is the node's height. Nodes of height 1 and 2, three in
-// four, fit 64 bytes with their tower (TestTowerLayout).
+// their bucket lock (or sequencer), the build's sweep included, so
+// insert never races an insert or remove of its key, and remove only
+// ever finds a node whose insert has finished — its tower fully linked,
+// found at its top level. Readers need no flag either: a collect that
+// overlapped an unfinished splice fails its guard validation. next is
+// the tower, allocated in the same object as the node (core.NewTower),
+// so an insert allocates one object; its length is the node's height.
+// Nodes of height 1 and 2, three in four, fit 64 bytes with their tower
+// (TestTowerLayout).
 type ixNode struct {
 	key    core.Key
 	val    core.Value
@@ -90,13 +102,50 @@ func ixLevelForSize(n int) int {
 	return l
 }
 
-// keyIndex is the per-table ordered shadow. The zero value is not ready;
-// use newKeyIndex.
+// The index's states, in the only order it moves through them.
+const (
+	ixOff       uint32 = iota // writers skip the index; it holds nothing
+	ixShadowing               // writers maintain it; a build is sweeping
+	ixReady                   // built: ordered reads may collect
+)
+
+// keyIndex is the per-table ordered shadow. The zero value is not
+// usable; use newKeyIndex.
 type keyIndex struct {
 	head     *ixNode
 	tail     *ixNode
 	maxLevel int
 	levelSrc atomic.Uint64 // private level PRNG state (SplitMix64 stream)
+	state    atomic.Uint32 // ixOff, ixShadowing or ixReady
+	build    sync.Mutex    // serializes builds; first in the lock order
+}
+
+// shadowing reports whether writers must keep the index up to date. A
+// writer reads it under the lock that serializes its key, so it either
+// runs wholly before the build sweeps its bucket (the sweep then sees
+// its effect in the bucket) or after the build switched to shadowing.
+func (ix *keyIndex) shadowing() bool { return ix.state.Load() != ixOff }
+
+// ready builds the index on a table's first ordered read and returns
+// once it is built; later calls cost one atomic load. sweep must insert
+// every live mapping of the table, one bucket at a time while holding
+// the writer lock of that bucket: same-key index updates then stay
+// serialized on the table's own lock, and insert's present-key return
+// (a writer shadowed the key first) and remove's absent-key return (the
+// writer removed a key the sweep had not reached) make the sweep and
+// the writers agree whatever order they meet in. Callers hold an epoch
+// bracket.
+func (ix *keyIndex) ready(sweep func()) {
+	if ix.state.Load() == ixReady {
+		return
+	}
+	ix.build.Lock()
+	if ix.state.Load() != ixReady {
+		ix.state.Store(ixShadowing)
+		sweep()
+		ix.state.Store(ixReady)
+	}
+	ix.build.Unlock()
 }
 
 // indexSize resolves the element-count hint the index is sized by: the
@@ -221,16 +270,22 @@ func unlink(victim *ixNode, preds, succs []*ixNode) bool {
 	return true
 }
 
-// insert shadows a successful bucket insert. The caller's bucket lock
-// guarantees k is absent from the index, so insert only contends with
-// neighbours.
+// insert shadows a successful bucket insert, or adds a mapping the
+// build's sweep found. The caller's bucket lock keeps every other
+// update of k out, so insert only contends with neighbours, and it
+// allocates the node only once k is known absent.
 func (ix *keyIndex) insert(c *core.Ctx, k core.Key, v core.Value) {
 	var pa, sa [ixMaxMaxLevel]*ixNode
 	preds, succs := pa[:ix.maxLevel], sa[:ix.maxLevel]
-	n := newIxNode(k, v, ix.randomLevel())
+	var n *ixNode
 	for {
 		if ix.find(k, preds, succs) != -1 {
-			return // unreachable under the bucket-serialization invariant
+			// Present: during a build, a writer that saw the index
+			// shadowing inserted k before the sweep reached its bucket.
+			return
+		}
+		if n == nil {
+			n = newIxNode(k, v, ix.randomLevel())
 		}
 		if link(n, preds, succs) {
 			return
@@ -240,13 +295,15 @@ func (ix *keyIndex) insert(c *core.Ctx, k core.Key, v core.Value) {
 
 // remove shadows a successful bucket remove: mark the victim under its
 // own lock (which keeps inserters from linking after it), then unlink
-// it. Same-key serialization means the victim is always present, fully
-// linked, and nobody else removes it concurrently.
+// it. Same-key serialization means a present victim is fully linked and
+// nobody else removes it concurrently.
 func (ix *keyIndex) remove(c *core.Ctx, k core.Key) {
 	var pa, sa [ixMaxMaxLevel]*ixNode
 	preds, succs := pa[:ix.maxLevel], sa[:ix.maxLevel]
 	if ix.find(k, preds, succs) == -1 {
-		return // unreachable under the bucket-serialization invariant
+		// Absent: during a build, k entered its bucket before the index
+		// was shadowing and leaves it before the sweep reaches it.
+		return
 	}
 	victim := succs[0]
 	victim.lock.Acquire(nil)

@@ -1,12 +1,15 @@
 package hashtable
 
 import (
+	"maps"
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"csds/internal/core"
+	"csds/internal/list"
 	"csds/internal/xrand"
 )
 
@@ -215,25 +218,236 @@ func TestIndexRemoveWhileNeighbourInserts(t *testing.T) {
 
 // TestLazyIndexOutOfMetrics pins that index maintenance stays out of
 // the paper's fine-grained metrics: a write of a fresh key records one
-// lock acquisition (its bucket's) and no restart, because every index
-// lock is taken with nil stats.
+// lock acquisition (its bucket's) and no restart, before the index is
+// built and after — the build's sweep takes the bucket locks with nil
+// stats, and every index lock is taken with nil stats.
 func TestLazyIndexOutOfMetrics(t *testing.T) {
 	const n = 500
-	s := NewLazy(core.Options{ExpectedSize: n})
+	s := NewLazy(core.Options{ExpectedSize: 2 * n})
 	c := core.NewCtx(0)
-	for i := 0; i < n; i++ {
-		if !s.Put(c, core.Key(i*7), core.Value(i)) {
-			t.Fatalf("Put(%d) of a fresh key failed", i*7)
+	writes := uint64(0)
+	churn := func(base core.Key) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if k := base + core.Key(i*7); !s.Put(c, k, core.Value(k)*3) {
+				t.Fatalf("Put(%d) of a fresh key failed", k)
+			}
+		}
+		for i := 0; i < n; i += 2 {
+			if k := base + core.Key(i*7); !s.Remove(c, k) {
+				t.Fatalf("Remove(%d) of a present key failed", k)
+			}
+		}
+		writes += n + n/2
+		if c.Stats.LockAcqs != writes || c.Stats.Restarts != 0 {
+			t.Fatalf("%d writes recorded %d lock acquisitions and %d restarts, want %d and 0",
+				writes, c.Stats.LockAcqs, c.Stats.Restarts, writes)
 		}
 	}
-	for i := 0; i < n; i += 2 {
-		if !s.Remove(c, core.Key(i*7)) {
-			t.Fatalf("Remove(%d) of a present key failed", i*7)
+	churn(0)
+	if s.index.head.next[0].Load() != s.index.tail {
+		t.Fatal("point-only traffic built the index")
+	}
+	s.Scan(c, core.KeyMin, core.KeyMax, func(core.Key, core.Value) bool { return true })
+	churn(1)
+	var live []core.Key
+	for i := 1; i < n; i += 2 {
+		live = append(live, core.Key(i*7), core.Key(i*7+1))
+	}
+	slices.Sort(live)
+	checkQuiescent(t, s.index, live)
+}
+
+// indexedTables are the table kinds that keep an ordered index, each
+// with a handle on it: the lazy table (locked and elided), the striped
+// table and one bucketed table.
+var indexedTables = []struct {
+	name string
+	mk   func(o core.Options) (core.Set, *keyIndex)
+}{
+	{"lazy", func(o core.Options) (core.Set, *keyIndex) {
+		h := NewLazy(o)
+		return h, h.index
+	}},
+	{"lazy/elided", func(o core.Options) (core.Set, *keyIndex) {
+		o.ElideAttempts = 5
+		h := NewLazy(o)
+		return h, h.index
+	}},
+	{"striped", func(o core.Options) (core.Set, *keyIndex) {
+		h := NewStriped(o)
+		return h, h.index
+	}},
+	{"pugh", func(o core.Options) (core.Set, *keyIndex) {
+		b := NewBucketed(o, func(so core.Options) core.Set { return list.NewPugh(so) })
+		return b, b.index
+	}},
+}
+
+// orderedReads are the two reads that build an index: a full Scan, and
+// a full walk in CursorNext pages of 7.
+var orderedReads = []struct {
+	name string
+	read func(s core.Set, c *core.Ctx) []core.Key
+}{
+	{"Scan", func(s core.Set, c *core.Ctx) []core.Key {
+		var got []core.Key
+		s.(core.Scanner).Scan(c, core.KeyMin, core.KeyMax, func(k core.Key, v core.Value) bool {
+			got = append(got, k)
+			return true
+		})
+		return got
+	}},
+	{"CursorNext", func(s core.Set, c *core.Ctx) []core.Key {
+		var got []core.Key
+		for pos, done := core.Key(core.KeyMin), false; !done; {
+			pos, done = s.(core.Cursor).CursorNext(c, pos, core.KeyMax, 7, func(k core.Key, v core.Value) bool {
+				got = append(got, k)
+				return true
+			})
+		}
+		return got
+	}},
+}
+
+// TestIndexBuiltOnFirstOrderedRead: point-only traffic leaves a table's
+// index empty; the first Scan or CursorNext builds it to exactly the
+// live keys, and later writes keep it so.
+func TestIndexBuiltOnFirstOrderedRead(t *testing.T) {
+	for _, tc := range indexedTables {
+		for _, rd := range orderedReads {
+			t.Run(tc.name+"/"+rd.name, func(t *testing.T) {
+				s, ix := tc.mk(core.Options{ExpectedSize: 256})
+				c := core.NewCtx(0)
+				live := map[core.Key]bool{}
+				toggle := func(k core.Key) {
+					t.Helper()
+					if live[k] {
+						if !s.Remove(c, k) {
+							t.Fatalf("Remove(%d) of a present key failed", k)
+						}
+						delete(live, k)
+					} else {
+						if !s.Put(c, k, core.Value(k)*3) {
+							t.Fatalf("Put(%d) of an absent key failed", k)
+						}
+						live[k] = true
+					}
+				}
+				for k := core.Key(0); k < 512; k += 2 {
+					toggle(k)
+				}
+				for k := core.Key(0); k < 512; k += 6 {
+					toggle(k)
+				}
+				for k := core.Key(0); k < 512; k++ {
+					if _, ok := s.Get(c, k); ok != live[k] {
+						t.Fatalf("Get(%d) = %v, want %v", k, ok, live[k])
+					}
+				}
+				if ix.head.next[0].Load() != ix.tail {
+					t.Fatal("point-only traffic built the index")
+				}
+				want := slices.Sorted(maps.Keys(live))
+				if got := rd.read(s, c); !slices.Equal(got, want) {
+					t.Fatalf("first ordered read = %v, want %v", got, want)
+				}
+				checkQuiescent(t, ix, want)
+				for i := 0; i < 2000; i++ {
+					toggle(core.Key(c.Rng.Int63n(600)))
+				}
+				checkQuiescent(t, ix, slices.Sorted(maps.Keys(live)))
+			})
 		}
 	}
-	writes := uint64(n + n/2)
-	if c.Stats.LockAcqs != writes || c.Stats.Restarts != 0 {
-		t.Fatalf("%d writes recorded %d lock acquisitions and %d restarts, want %d and 0",
-			writes, c.Stats.LockAcqs, c.Stats.Restarts, writes)
+}
+
+// TestIndexBuildUnderWriters: four writers churn adjacent keys, each
+// owning the keys congruent to its id, while several goroutines issue
+// the table's first Scan at once — one of them builds the index under
+// the writers, the others wait for it. Every scan must deliver an
+// ascending run of real mappings, and at quiescence the index must hold
+// exactly the live keys with no lock held. Run it under -race.
+func TestIndexBuildUnderWriters(t *testing.T) {
+	const writers, perWriter, scanners, minOps = 4, 512, 3, 2000
+	rounds := 4
+	if testing.Short() {
+		rounds = 2
+	}
+	for _, tc := range indexedTables {
+		t.Run(tc.name, func(t *testing.T) {
+			for r := 0; r < rounds; r++ {
+				s, ix := tc.mk(core.Options{ExpectedSize: writers * perWriter})
+				fill := core.NewCtx(writers + scanners)
+				lives := make([][]bool, writers)
+				for w := range lives {
+					lives[w] = make([]bool, perWriter)
+					for j := 0; j < perWriter; j += 2 {
+						k := core.Key(j*writers + w)
+						s.Put(fill, k, core.Value(k)*3)
+						lives[w][j] = true
+					}
+				}
+				var stop atomic.Bool
+				start := make(chan struct{})
+				var release sync.Once // writer 0 releases the scanners, early if it fails
+				var wg, sg sync.WaitGroup
+				for w := 0; w < writers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						if w == 0 {
+							defer release.Do(func() { close(start) })
+						}
+						c := core.NewCtx(w)
+						live := lives[w]
+						for i := 0; i < minOps || !stop.Load(); i++ {
+							j := int(c.Rng.Int63n(perWriter))
+							k := core.Key(j*writers + w)
+							if live[j] && !s.Remove(c, k) || !live[j] && !s.Put(c, k, core.Value(k)*3) {
+								t.Errorf("writer %d: update of its own key %d failed", w, k)
+								return
+							}
+							live[j] = !live[j]
+							if i == 100 && w == 0 {
+								release.Do(func() { close(start) })
+							}
+						}
+					}(w)
+				}
+				for sc := 0; sc < scanners; sc++ {
+					sg.Add(1)
+					go func(sc int) {
+						defer sg.Done()
+						c := core.NewCtx(writers + sc)
+						<-start
+						prev := core.Key(core.KeyMin)
+						s.(core.Scanner).Scan(c, core.KeyMin, core.KeyMax, func(k core.Key, v core.Value) bool {
+							if k <= prev || v != core.Value(k)*3 || k >= writers*perWriter {
+								t.Errorf("scanner %d: %d=%d after %d", sc, k, v, prev)
+								return false
+							}
+							prev = k
+							return true
+						})
+					}(sc)
+				}
+				sg.Wait()
+				stop.Store(true)
+				wg.Wait()
+				if t.Failed() {
+					return
+				}
+				var live []core.Key
+				for j := 0; j < perWriter; j++ {
+					for w := 0; w < writers; w++ {
+						if lives[w][j] {
+							live = append(live, core.Key(j*writers+w))
+						}
+					}
+				}
+				checkQuiescent(t, ix, live)
+			}
+		})
 	}
 }

@@ -68,7 +68,7 @@ type Lazy struct {
 	mask    uint64
 	region  htm.Region
 	guard   core.ScanGuard // validates optimistic range scans (table-wide)
-	index   *keyIndex      // ordered shadow: O(page)/O(range) scans & cursors
+	index   *keyIndex      // ordered shadow, built on the first Scan/CursorNext
 }
 
 // NewLazy builds a lazy hash table sized per o (load factor 1).
@@ -133,9 +133,10 @@ func (h *Lazy) Put(c *core.Ctx, k core.Key, v core.Value) bool {
 }
 
 // insertLocked does the sorted-splice under the bucket lock; a
-// membership change opens g's scan window (g may be nil) and shadows
-// itself into the ordered index inside that same window, so a validated
-// guarded collect always sees bucket and index in agreement.
+// membership change opens g's scan window (g may be nil) and, once the
+// ordered index is shadowing, shadows itself into it inside that same
+// window, so a validated guarded collect always sees bucket and index
+// in agreement.
 func (b *lbucket) insertLocked(c *core.Ctx, g *core.ScanGuard, ix *keyIndex, k core.Key, v core.Value) bool {
 	var pred *lnode
 	curr := b.head.Load()
@@ -153,7 +154,9 @@ func (b *lbucket) insertLocked(c *core.Ctx, g *core.ScanGuard, ix *keyIndex, k c
 	} else {
 		pred.next.Store(n)
 	}
-	ix.insert(c, k, v)
+	if ix.shadowing() {
+		ix.insert(c, k, v)
+	}
 	g.EndWrite()
 	return true
 }
@@ -210,9 +213,33 @@ func (b *lbucket) removeLocked(c *core.Ctx, g *core.ScanGuard, ix *keyIndex, k c
 	} else {
 		pred.next.Store(curr.next.Load())
 	}
-	ix.remove(c, k)
+	if ix.shadowing() {
+		ix.remove(c, k)
+	}
 	g.EndWrite()
 	return true, curr
+}
+
+// sweep inserts the bucket's live mappings into ix while holding l, the
+// lock that serializes the bucket's writers, taken with nil stats like
+// every index lock (see keyIndex.ready).
+func (b *lbucket) sweep(c *core.Ctx, l *locks.TAS, ix *keyIndex) {
+	l.Acquire(nil)
+	for n := b.head.Load(); n != nil; n = n.next.Load() {
+		if !n.marked.Load() {
+			ix.insert(c, n.key, n.val)
+		}
+	}
+	l.Release()
+}
+
+// sweep builds the ordered index one bucket at a time under the
+// bucket's own lock (see keyIndex.ready).
+func (h *Lazy) sweep(c *core.Ctx) {
+	for i := range h.buckets {
+		b := &h.buckets[i]
+		b.sweep(c, &b.lock, h.index)
+	}
 }
 
 // Len implements core.Set (quiesced use).
@@ -246,13 +273,15 @@ func (h *Lazy) Range(f func(k core.Key, v core.Value) bool) {
 // concurrently — atomic per call, O(log n + range) instead of the
 // O(table) bucket sweep of the unindexed design, and in ascending key
 // order (updates keep the index in the same guard bracket as the bucket
-// splice, so a validated collect saw bucket and index agree).
+// splice, so a validated collect saw bucket and index agree). The
+// table's first ordered read builds the index first.
 func (h *Lazy) Scan(c *core.Ctx, lo, hi core.Key, f func(k core.Key, v core.Value) bool) bool {
 	if lo >= hi {
 		return true
 	}
 	c.EpochEnter()
 	defer c.EpochExit()
+	h.index.ready(func() { h.sweep(c) })
 	return core.GuardedScan(c, &h.guard, func(emit func(k core.Key, v core.Value)) {
 		h.index.collect(lo, hi, func(k core.Key, v core.Value) bool {
 			emit(k, v)
@@ -273,6 +302,7 @@ func (h *Lazy) CursorNext(c *core.Ctx, pos, hi core.Key, max int, f func(k core.
 	}
 	c.EpochEnter()
 	defer c.EpochExit()
+	h.index.ready(func() { h.sweep(c) })
 	return core.GuardedPage(c, &h.guard, hi, max, func(emit func(k core.Key, v core.Value) bool) {
 		h.index.collect(pos, hi, emit)
 	}, f)

@@ -17,7 +17,7 @@ type Bucketed struct {
 	buckets []core.Set
 	mask    uint64
 	guard   core.ScanGuard // brackets composite updates for index agreement
-	index   *keyIndex      // ordered shadow: O(page)/O(range) scans & cursors
+	index   *keyIndex      // ordered shadow, built on the first Scan/CursorNext
 	seq     []ixSeqLock    // per-bucket-striped update sequencers (see Put)
 }
 
@@ -107,7 +107,9 @@ func (b *Bucketed) Get(c *core.Ctx, k core.Key) (core.Value, bool) {
 //     deltas in the same order their bucket effects linearized —
 //     without it, a delegated Put's index insert could land after a
 //     later Remove's index delete and strand the key in the index
-//     forever. The sequencer is the featured lazy table's own lock
+//     forever. The sequencer is also the lock the index build sweeps
+//     each bucket under, and the lock a writer reads the index's
+//     shadowing flag under. It is the featured lazy table's own lock
 //     granularity (per bucket, striped beyond ixSeqCount buckets);
 //     reads never touch it, so the read path keeps the inner
 //     structure's progress guarantee, and its waits surface in the
@@ -120,7 +122,7 @@ func (b *Bucketed) Put(c *core.Ctx, k core.Key, v core.Value) bool {
 	b.guard.BeginWrite(c.Stat())
 	l.Acquire(c.Stat())
 	ok := b.buckets[bi].Put(c, k, v)
-	if ok {
+	if ok && b.index.shadowing() {
 		b.index.insert(c, k, v)
 	}
 	l.Release()
@@ -137,12 +139,27 @@ func (b *Bucketed) Remove(c *core.Ctx, k core.Key) bool {
 	b.guard.BeginWrite(c.Stat())
 	l.Acquire(c.Stat())
 	ok := b.buckets[bi].Remove(c, k)
-	if ok {
+	if ok && b.index.shadowing() {
 		b.index.remove(c, k)
 	}
 	l.Release()
 	b.guard.EndWrite()
 	return ok
+}
+
+// sweep builds the ordered index one bucket at a time under that
+// bucket's sequencer (see keyIndex.ready).
+func (b *Bucketed) sweep(c *core.Ctx) {
+	add := func(k core.Key, v core.Value) bool {
+		b.index.insert(c, k, v)
+		return true
+	}
+	for i, s := range b.buckets {
+		l := &b.seq[uint64(i)%uint64(len(b.seq))].lock
+		l.Acquire(nil)
+		s.(core.Ranger).Range(add)
+		l.Release()
+	}
 }
 
 // Len implements core.Set.
@@ -181,6 +198,7 @@ func (b *Bucketed) Scan(c *core.Ctx, lo, hi core.Key, f func(k core.Key, v core.
 	}
 	c.EpochEnter()
 	defer c.EpochExit()
+	b.index.ready(func() { b.sweep(c) })
 	return core.GuardedScan(c, &b.guard, func(emit func(k core.Key, v core.Value)) {
 		b.index.collect(lo, hi, func(k core.Key, v core.Value) bool {
 			emit(k, v)
@@ -199,6 +217,7 @@ func (b *Bucketed) CursorNext(c *core.Ctx, pos, hi core.Key, max int, f func(k c
 	}
 	c.EpochEnter()
 	defer c.EpochExit()
+	b.index.ready(func() { b.sweep(c) })
 	return core.GuardedPage(c, &b.guard, hi, max, func(emit func(k core.Key, v core.Value) bool) {
 		b.index.collect(pos, hi, emit)
 	}, f)
@@ -369,7 +388,7 @@ type Striped struct {
 	}
 	mask  uint64
 	guard core.ScanGuard // validates optimistic range scans (table-wide)
-	index *keyIndex      // ordered shadow: O(page)/O(range) scans & cursors
+	index *keyIndex      // ordered shadow, built on the first Scan/CursorNext
 }
 
 // NewStriped builds a striped table sized per o.
@@ -434,6 +453,14 @@ func (h *Striped) Remove(c *core.Ctx, k core.Key) bool {
 	return ok
 }
 
+// sweep builds the ordered index one bucket at a time under the
+// bucket's stripe (see keyIndex.ready).
+func (h *Striped) sweep(c *core.Ctx) {
+	for i := range h.buckets {
+		h.buckets[i].sweep(c, h.stripe(uint64(i)), h.index)
+	}
+}
+
 // Len implements core.Set.
 func (h *Striped) Len() int {
 	total := 0
@@ -468,6 +495,7 @@ func (h *Striped) Scan(c *core.Ctx, lo, hi core.Key, f func(k core.Key, v core.V
 	}
 	c.EpochEnter()
 	defer c.EpochExit()
+	h.index.ready(func() { h.sweep(c) })
 	return core.GuardedScan(c, &h.guard, func(emit func(k core.Key, v core.Value)) {
 		h.index.collect(lo, hi, func(k core.Key, v core.Value) bool {
 			emit(k, v)
@@ -485,6 +513,7 @@ func (h *Striped) CursorNext(c *core.Ctx, pos, hi core.Key, max int, f func(k co
 	}
 	c.EpochEnter()
 	defer c.EpochExit()
+	h.index.ready(func() { h.sweep(c) })
 	return core.GuardedPage(c, &h.guard, hi, max, func(emit func(k core.Key, v core.Value) bool) {
 		h.index.collect(pos, hi, emit)
 	}, f)
